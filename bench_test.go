@@ -106,33 +106,6 @@ func BenchmarkEncodeVectorsWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeBWWorkers races the Berlekamp–Welch error-budget scan at
-// paper scale (V=100, K=46, 27 planted errors) across worker counts.
-func BenchmarkDecodeBWWorkers(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	k := 46
-	coeffs := make([]field.Element, k)
-	for i := range coeffs {
-		coeffs[i] = field.Rand(rng)
-	}
-	f := poly.New(coeffs...)
-	xs := field.RandDistinct(rng, 100, nil)
-	ys := f.EvalMany(xs)
-	for _, p := range rng.Perm(100)[:27] {
-		ys[p] = field.Rand(rng)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(sizeName("workers", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := reedsolomon.DecodeBWParallel(xs, ys, k, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Proposition 1 scaling: encoding is O(M²) per vehicle, decoding is
 // O((K+2E)³) at the fusion centre. The sub-benchmarks sweep one axis at a
 // time so the scaling exponents are visible in the ns/op column. ---

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	go test -run NONE -bench Workers -benchtime 3x . | go run ./cmd/benchreport -out BENCH_parallel.json
+//	go test -run NONE -bench AggregateObs -benchtime 3x . | go run ./cmd/benchreport -out BENCH_obs.json
 //
 // With -compare old.json the freshly parsed report is checked against a
 // previously written one: any benchmark whose ns/op grew by more than
@@ -30,9 +30,8 @@
 //     max_speedup is still recorded either way.
 //   - -min-ratio name=V (repeatable) fails the run unless derived ratio
 //     "name" exists and is >= V. Ratios are computed from sibling
-//     entries: batch_vs_perslot from /mode=batch vs /mode=perslot pairs,
-//     binary_vs_json from /enc=binary vs /enc=json pairs and
-//     pipelined_vs_lockstep from the RoundPipelined vs RoundLockstep
+//     entries: batch_vs_perslot from /mode=batch vs /mode=perslot pairs
+//     and pipelined_vs_lockstep from the RoundPipelined vs RoundLockstep
 //     pair, each the minimum (most conservative) across all matched
 //     pairs. A requested ratio that cannot be derived is a loud failure,
 //     never a skip.
@@ -110,7 +109,7 @@ type Report struct {
 	// that carry "target_met": false still parse.
 	TargetMet *bool `json:"target_met,omitempty"`
 	// Ratios holds derived sibling-entry ratios (see the package doc):
-	// batch_vs_perslot, binary_vs_json, pipelined_vs_lockstep.
+	// batch_vs_perslot, pipelined_vs_lockstep.
 	Ratios map[string]float64 `json:"ratios,omitempty"`
 	Note   string             `json:"note,omitempty"`
 }
@@ -285,9 +284,7 @@ var ratioSpecs = []struct {
 	fast, slow string
 }{
 	{"batch_vs_perslot", "mode=batch", "mode=perslot"},
-	{"binary_vs_json", "enc=binary", "enc=json"},
 	{"pipelined_vs_lockstep", "RoundPipelined", "RoundLockstep"},
-	{"fleet_gather_vs_relay", "mode=gather", "mode=relay"},
 }
 
 // computeRatios derives the sibling-entry ratios present in entries.
@@ -350,7 +347,7 @@ func compareReports(oldRep, newRep *Report, maxRegress float64) []regression {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_parallel.json", "output JSON path (- for stdout)")
+	out := flag.String("out", "-", "output JSON path (- for stdout)")
 	compare := flag.String("compare", "", "baseline report JSON to compare against; regressions fail with exit 1")
 	maxRegress := flag.Float64("max-regress", 0.20, "tolerated ns/op growth over the baseline, as a fraction")
 	procs := flag.Bool("procs", false, "matrix mode: keep GOMAXPROCS as a /procs=N name segment")

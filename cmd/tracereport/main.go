@@ -89,8 +89,6 @@ func run(args []string, w io.Writer) error {
 // mirrors a registry counter (crossCheck pins the pairing).
 type decodeSummary struct {
 	SlotFailures   int64 `json:"slot_failures"`
-	BWAttempts     int64 `json:"bw_attempts"`
-	BWWins         int64 `json:"bw_wins"`
 	BatchGroups    int64 `json:"batch_groups"`
 	BatchWords     int64 `json:"batch_words"`
 	BatchRecovered int64 `json:"batch_recovered"`
@@ -143,12 +141,11 @@ type fleetSummary struct {
 	HandshakeFails  int64 `json:"handshake_fails"`
 }
 
-// relaySummary aggregates the edge-relay aggregation-tree events.
-// GatheredUploads sums each relay.gather event's uploads field, matching
-// the relay.gathered_uploads counter's batched Add.
+// relaySummary aggregates the edge-relay events. Links counts the
+// vehicle connections the relays paired with an upstream leg. Every
+// field mirrors a registry counter (crossCheck pins the pairing).
 type relaySummary struct {
-	Gathers          int64 `json:"gathers"`
-	GatheredUploads  int64 `json:"gathered_uploads"`
+	Links            int64 `json:"links"`
 	DialErrors       int64 `json:"dial_errors"`
 	CorruptForwarded int64 `json:"corrupt_forwarded"`
 }
@@ -323,10 +320,8 @@ func summarize(r io.Reader) (*summary, error) {
 			}
 		case "fleet.handshake_fail":
 			sum.Fleet.HandshakeFails++
-		case "relay.gather":
-			sum.Relay.Gathers++
-			u, _ := num(rec, "uploads")
-			sum.Relay.GatheredUploads += u
+		case "relay.link":
+			sum.Relay.Links++
 		case "relay.dial_error":
 			sum.Relay.DialErrors++
 		case "relay.corrupt_forward":
@@ -341,11 +336,6 @@ func summarize(r io.Reader) (*summary, error) {
 			sum.Chaos.Crashes++
 		case "core.slot_fail":
 			sum.Decode.SlotFailures++
-		case "rs.bw_attempt":
-			sum.Decode.BWAttempts++
-			if ok, _ := rec["ok"].(bool); ok {
-				sum.Decode.BWWins++
-			}
 		case "rs.batch":
 			sum.Decode.BatchGroups++
 			w, _ := num(rec, "words")
@@ -465,8 +455,6 @@ func crossCheck(sum *summary, metricsPath string) error {
 		{"node.recv_errors", sum.RecvErrors},
 		{"node.stragglers", sum.Stragglers},
 		{"core.decode_failures", sum.Decode.SlotFailures},
-		{"rs.bw.attempts", sum.Decode.BWAttempts},
-		{"rs.bw.wins", sum.Decode.BWWins},
 		{"rs.batch.words", sum.Decode.BatchWords},
 		{"rs.batch.recovered", sum.Decode.BatchRecovered},
 		{"rs.batch.fallbacks", sum.Decode.BatchFallbacks},
@@ -487,8 +475,7 @@ func crossCheck(sum *summary, metricsPath string) error {
 		{"fleet.sessions_started", sum.Fleet.SessionsStarted},
 		{"fleet.sessions_done", sum.Fleet.SessionsDone},
 		{"fleet.handshake_fails", sum.Fleet.HandshakeFails},
-		{"relay.gathers", sum.Relay.Gathers},
-		{"relay.gathered_uploads", sum.Relay.GatheredUploads},
+		{"relay.links", sum.Relay.Links},
 		{"relay.dial_errors", sum.Relay.DialErrors},
 		{"relay.corrupt_forwarded", sum.Relay.CorruptForwarded},
 	}
@@ -539,8 +526,8 @@ func writeText(w io.Writer, sum *summary) error {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "trace: %d events, %d runs, %d fl rounds, %d node rounds\n",
 		sum.Events, sum.Runs, sum.FLRounds, sum.NodeRounds)
-	fmt.Fprintf(&b, "decode: %d slot failures, %d/%d BW attempts won, %d batch groups (%d words, %d recovered, %d fallbacks)\n",
-		sum.Decode.SlotFailures, sum.Decode.BWWins, sum.Decode.BWAttempts,
+	fmt.Fprintf(&b, "decode: %d slot failures, %d batch groups (%d words, %d recovered, %d fallbacks)\n",
+		sum.Decode.SlotFailures,
 		sum.Decode.BatchGroups, sum.Decode.BatchWords, sum.Decode.BatchRecovered, sum.Decode.BatchFallbacks)
 	if sum.RecvErrors > 0 || sum.Stragglers > 0 {
 		fmt.Fprintf(&b, "node: %d receive errors, %d straggler timeouts\n", sum.RecvErrors, sum.Stragglers)
@@ -564,8 +551,8 @@ func writeText(w io.Writer, sum *summary) error {
 			sum.Fleet.SessionsDone, sum.Fleet.SessionsStarted)
 	}
 	if sum.Relay != (relaySummary{}) {
-		fmt.Fprintf(&b, "relay: %d gathers batching %d uploads, %d dial errors, %d corrupt frames re-signalled\n",
-			sum.Relay.Gathers, sum.Relay.GatheredUploads, sum.Relay.DialErrors, sum.Relay.CorruptForwarded)
+		fmt.Fprintf(&b, "relay: %d links, %d dial errors, %d corrupt frames re-signalled\n",
+			sum.Relay.Links, sum.Relay.DialErrors, sum.Relay.CorruptForwarded)
 	}
 
 	if len(sum.Sessions) > 0 {

@@ -16,8 +16,6 @@ const sampleTrace = `{"ev":"experiments.run_start","t_ns":0,"variant":"l-cofl"}
 {"ev":"fl.vehicle","t_ns":160,"round":2,"vehicle":0,"train_ns":700}
 {"ev":"fl.vehicle","t_ns":170,"round":1,"vehicle":3,"train_ns":900}
 {"ev":"core.slot_fail","t_ns":200,"slot":4}
-{"ev":"rs.bw_attempt","t_ns":210,"budget":1,"ok":false}
-{"ev":"rs.bw_attempt","t_ns":220,"budget":2,"ok":true}
 {"ev":"rs.batch","t_ns":230,"words":8,"points":20,"recovered":6,"fallbacks":2,"combined_ok":true}
 {"ev":"transport.send","t_ns":240,"peer":"vehicle-0","kind":"round","bytes":100}
 {"ev":"transport.send","t_ns":250,"peer":"vehicle-0","kind":"round","bytes":60}
@@ -43,16 +41,17 @@ const sampleTrace = `{"ev":"experiments.run_start","t_ns":0,"variant":"l-cofl"}
 {"ev":"node.reconnect","t_ns":420,"vehicle":7,"failures":1,"delay_ns":100000000,"error":"closed"}
 {"ev":"node.degraded","t_ns":430,"round":2,"present":3,"need":8}
 {"ev":"node.client_corrupt_frame","t_ns":440,"vehicle":4}
-{"ev":"fleet.admit","t_ns":450,"session":"s0","vehicle":0,"version":5,"rejoin":false}
-{"ev":"fleet.admit","t_ns":460,"session":"s0","vehicle":1,"version":5,"rejoin":false}
-{"ev":"fleet.admit","t_ns":465,"session":"s0","vehicle":1,"version":5,"rejoin":true}
+{"ev":"fleet.admit","t_ns":450,"session":"s0","vehicle":0,"rejoin":false}
+{"ev":"fleet.admit","t_ns":460,"session":"s0","vehicle":1,"rejoin":false}
+{"ev":"fleet.admit","t_ns":465,"session":"s0","vehicle":1,"rejoin":true}
 {"ev":"fleet.queue","t_ns":470,"session":"s1","vehicle":0}
 {"ev":"fleet.reject","t_ns":480,"session":"s2","vehicle":3,"reason":"admission queue full","retry":true}
 {"ev":"fleet.handshake_fail","t_ns":485,"error":"node: hello timeout"}
 {"ev":"fleet.session_start","t_ns":490,"session":"s0","vehicles":2}
 {"ev":"fleet.session_done","t_ns":500,"session":"s0","rounds":2}
-{"ev":"relay.gather","t_ns":510,"uploads":3}
-{"ev":"relay.gather","t_ns":520,"uploads":2}
+{"ev":"relay.link","t_ns":505}
+{"ev":"relay.link","t_ns":510}
+{"ev":"relay.link","t_ns":520}
 {"ev":"relay.dial_error","t_ns":530,"error":"closed"}
 {"ev":"relay.corrupt_forward","t_ns":540,"upstream":"up-0"}
 `
@@ -62,7 +61,7 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Events != 46 || sum.Runs != 1 || sum.FLRounds != 2 || sum.NodeRounds != 2 {
+	if sum.Events != 45 || sum.Runs != 1 || sum.FLRounds != 2 || sum.NodeRounds != 2 {
 		t.Fatalf("headline counts wrong: %+v", sum)
 	}
 	if sum.RecvErrors != 1 || sum.Stragglers != 1 {
@@ -94,7 +93,7 @@ func TestSummarize(t *testing.T) {
 	if sum.Fleet != wantFleet {
 		t.Fatalf("fleet summary = %+v, want %+v", sum.Fleet, wantFleet)
 	}
-	wantRelay := relaySummary{Gathers: 2, GatheredUploads: 5, DialErrors: 1, CorruptForwarded: 1}
+	wantRelay := relaySummary{Links: 3, DialErrors: 1, CorruptForwarded: 1}
 	if sum.Relay != wantRelay {
 		t.Fatalf("relay summary = %+v, want %+v", sum.Relay, wantRelay)
 	}
@@ -111,7 +110,7 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("session s2 stats wrong: %+v", sum.Sessions["s2"])
 	}
 	d := sum.Decode
-	if d.SlotFailures != 1 || d.BWAttempts != 2 || d.BWWins != 1 ||
+	if d.SlotFailures != 1 ||
 		d.BatchGroups != 1 || d.BatchWords != 8 || d.BatchRecovered != 6 || d.BatchFallbacks != 2 {
 		t.Fatalf("decode summary wrong: %+v", d)
 	}
@@ -186,14 +185,14 @@ func TestCrossCheck(t *testing.T) {
 	}
 	good := `{"counters":{"fl.rounds":2,"node.rounds":2,"node.recv_errors":1,"node.stragglers":1,
 		"node.early_closes":1,
-		"core.decode_failures":1,"rs.bw.attempts":2,"rs.bw.wins":1,
+		"core.decode_failures":1,
 		"rs.batch.words":8,"rs.batch.recovered":6,"rs.batch.fallbacks":2,
 		"node.corrupt_frames":2,"node.retransmits":1,"node.rejoins":1,"node.reconnects":1,
 		"node.degraded_rounds":1,"node.client_corrupt_frames":1,
 		"chaos.drops":1,"chaos.corrupts":2,"chaos.delays":1,"chaos.crashes":1,
 		"fleet.admitted":3,"fleet.rejected":1,"fleet.queued":1,
 		"fleet.sessions_started":1,"fleet.sessions_done":1,"fleet.handshake_fails":1,
-		"relay.gathers":2,"relay.gathered_uploads":5,"relay.dial_errors":1,"relay.corrupt_forwarded":1},
+		"relay.links":3,"relay.dial_errors":1,"relay.corrupt_forwarded":1},
 		"histograms":{"core.aggregate_ns":{"count":3,"sum":800},"fl.train_ns":{"count":3,"sum":2100}}}`
 	if err := crossCheck(sum, writeTemp(t, "good.json", good)); err != nil {
 		t.Fatalf("consistent snapshot rejected: %v", err)
@@ -239,18 +238,17 @@ func TestCrossCheck(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "node.early_closes") {
 		t.Fatalf("drifting early-close counter accepted: %v", err)
 	}
-	// The fleet admission ledger and the relay gather ledger are pinned
-	// the same way; gathered_uploads is a summed field, not an event
-	// count, so a drift there proves the Σ pairing is live too.
+	// The fleet admission ledger and the relay link ledger are pinned
+	// the same way.
 	bad = strings.Replace(good, `"fleet.admitted":3`, `"fleet.admitted":4`, 1)
 	err = crossCheck(sum, writeTemp(t, "bad-fleet.json", bad))
 	if err == nil || !strings.Contains(err.Error(), "fleet.admitted") {
 		t.Fatalf("drifting fleet admission counter accepted: %v", err)
 	}
-	bad = strings.Replace(good, `"relay.gathered_uploads":5`, `"relay.gathered_uploads":6`, 1)
+	bad = strings.Replace(good, `"relay.links":3`, `"relay.links":2`, 1)
 	err = crossCheck(sum, writeTemp(t, "bad-relay.json", bad))
-	if err == nil || !strings.Contains(err.Error(), "relay.gathered_uploads") {
-		t.Fatalf("drifting relay gather counter accepted: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "relay.links") {
+		t.Fatalf("drifting relay link counter accepted: %v", err)
 	}
 }
 
@@ -264,7 +262,7 @@ func TestRunJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &sum); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, buf.String())
 	}
-	if sum.FLRounds != 2 || sum.Decode.BWAttempts != 2 {
+	if sum.FLRounds != 2 || sum.Relay.Links != 3 {
 		t.Fatalf("JSON summary wrong: %+v", sum)
 	}
 }
@@ -277,12 +275,12 @@ func TestRunText(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"2 fl rounds", "1/2 BW attempts won", "vehicle-0", "stage latencies",
+		"2 fl rounds", "1 slot failures", "vehicle-0", "stage latencies",
 		"chaos: 1 drops, 2 corrupts, 1 delays, 1 crashes injected",
 		"recovery: 2 corrupt frames (1 client-side), 1 retransmits, 1 rejoins, 1 reconnects, 1 degraded rounds",
 		"pipeline: 2 pipelined rounds, 1 early closes, overlap ratio 0.375",
 		"fleet: 3 admitted, 1 queued, 1 rejected, 1 handshake fails, 1/1 sessions done",
-		"relay: 2 gathers batching 5 uploads, 1 dial errors, 1 corrupt frames re-signalled",
+		"relay: 3 links, 1 dial errors, 1 corrupt frames re-signalled",
 		"admission by session",
 	} {
 		if !strings.Contains(out, want) {

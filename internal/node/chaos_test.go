@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -18,12 +19,24 @@ import (
 // wrapped by the injector. Vehicles in retry run under RunVehicleRetry
 // with a redial that rejoins the fusion centre over a fresh pipe — the
 // restart-and-rejoin process fault, end to end.
+//
+// A retry vehicle's crash is pinned to land within its round: the
+// fusion centre only sees the crashed connection fail after it has
+// revived the vehicle on the rejoined one (reviveGate). Without the
+// gate the schedule races — if the failure is seen first and the rest
+// of the fleet uploads before the rejoin arrives, the round closes
+// without the crashed vehicle and the aggregate legitimately changes.
 func chaosRun(t *testing.T, s *session, inj *chaos.Injector, retry map[int]bool) *Report {
 	t.Helper()
+	conns := append([]transport.Conn(nil), s.conns...)
 	var wg sync.WaitGroup
+	var gates []*reviveGate
 	for i := range s.clients {
 		wg.Add(1)
 		if retry[i] {
+			gate := &reviveGate{Conn: conns[i], revived: make(chan struct{})}
+			gates = append(gates, gate)
+			conns[i] = gate
 			first := true
 			dial := func() (transport.Conn, error) {
 				if first {
@@ -31,7 +44,7 @@ func chaosRun(t *testing.T, s *session, inj *chaos.Injector, retry map[int]bool)
 					return inj.Wrap(i, s.vconns[i]), nil
 				}
 				serverEnd, vehicleEnd := transport.Pipe()
-				s.server.Rejoin(serverEnd)
+				s.server.Rejoin(&reviveSignal{Conn: serverEnd, gate: gate})
 				return inj.Wrap(i, vehicleEnd), nil
 			}
 			go func(i int) {
@@ -53,12 +66,49 @@ func chaosRun(t *testing.T, s *session, inj *chaos.Injector, retry map[int]bool)
 			}
 		}(i)
 	}
-	report, err := s.server.Run(s.conns)
+	report, err := s.server.Run(conns)
+	for _, g := range gates {
+		g.open() // release receivers still holding a failure back
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
 	return report
+}
+
+// reviveGate holds back a connection-level receive failure until the
+// fusion centre has revived the vehicle on a rejoined connection (or the
+// session is over), so the failure always reaches the engine as a stale
+// error from a replaced connection.
+type reviveGate struct {
+	transport.Conn
+	revived chan struct{}
+	once    sync.Once
+}
+
+func (g *reviveGate) open() { g.once.Do(func() { close(g.revived) }) }
+
+func (g *reviveGate) Recv() (*protocol.Message, error) {
+	m, err := g.Conn.Recv()
+	if err != nil && !errors.Is(err, protocol.ErrCorruptFrame) {
+		<-g.revived
+	}
+	return m, err
+}
+
+// reviveSignal opens its gate at the fusion centre's first send on the
+// rejoined connection — the Setup of the revival, sent after the engine
+// has swapped the connection in.
+type reviveSignal struct {
+	transport.Conn
+	gate *reviveGate
+}
+
+func (c *reviveSignal) Send(m *protocol.Message) error {
+	err := c.Conn.Send(m)
+	c.gate.open()
+	return err
 }
 
 // sameBits reports bit-identity of two float64 vectors.

@@ -2,11 +2,13 @@ package node
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/protocol"
 	"repro/internal/transport"
 )
 
@@ -73,69 +75,32 @@ func runOverTCPObs(t *testing.T, s *session, opts transport.Options, vo *obs.Obs
 	return report
 }
 
-// TestMixedVersionSession is the ISSUE 7 interop criterion: a session
-// where half the fleet is pinned to the JSON-only protocol revision 2
-// (standing in for vehicles running the old build) must produce exactly
-// the model an all-v3 session produces. The fusion centre negotiates per
-// connection, so v3 binary Broadcast/Upload frames and v2 JSON frames
-// carry the same rounds side by side; Go's JSON encoding of float64 is
-// round-trip exact, so "bit-identical" is achievable and required.
+// TestMixedVersionSession: there is one protocol revision, so a fleet
+// that mixes revisions cannot form a session — a vehicle announcing any
+// other revision fails the fusion centre's handshake, and a vehicle
+// refuses a Setup announcing any other revision. Within the one revision,
+// a session over buffered TCP with trace propagation on (context-bearing
+// binary frames) produces exactly the model the plain session produces.
 func TestMixedVersionSession(t *testing.T) {
 	opts := transport.Options{WriteBuffer: 64 << 10, ReadBuffer: 64 << 10}
 
 	pure := buildSession(t, 10, 3, 0)
 	pureReport := runOverTCP(t, pure, opts)
-
-	mixed := buildSession(t, 10, 3, 0)
-	for i := range mixed.clients {
-		if i%2 == 0 {
-			mixed.clients[i].ForceVersion = 2
-		}
-	}
-	mixedReport := runOverTCP(t, mixed, opts)
-
-	if pureReport.Rounds != 3 || mixedReport.Rounds != 3 {
-		t.Fatalf("rounds: pure %d, mixed %d, want 3", pureReport.Rounds, mixedReport.Rounds)
-	}
-	if mixedReport.Stragglers != 0 || mixedReport.RecvErrors != 0 {
-		t.Fatalf("mixed session not clean: %+v", mixedReport)
-	}
-	if len(pureReport.FinalParams) != len(mixedReport.FinalParams) {
-		t.Fatalf("param lengths differ: %d vs %d", len(pureReport.FinalParams), len(mixedReport.FinalParams))
-	}
-	for i := range pureReport.FinalParams {
-		if pureReport.FinalParams[i] != mixedReport.FinalParams[i] {
-			t.Fatalf("param %d differs: %v (all-v3) vs %v (mixed)", i,
-				pureReport.FinalParams[i], mixedReport.FinalParams[i])
-		}
+	if pureReport.Rounds != 3 || pureReport.Stragglers != 0 || pureReport.RecvErrors != 0 {
+		t.Fatalf("plain session not clean: %+v", pureReport)
 	}
 
-	// ISSUE 9 extension: the same mixed fleet with trace propagation on —
-	// both sides tracing, so Setup/Broadcast/Upload frames carry the
-	// session trace context (JSON fallback on the v2 and v3 connections,
-	// binary ctx kinds at v4) — must still produce the identical model.
 	reg := obs.NewRegistry()
 	var trace bytes.Buffer
 	clk := &obs.ManualClock{}
 	o := obs.New(reg, obs.NewTracer(&trace, clk), clk)
 	prop := buildSessionObs(t, 10, 3, 0, o)
-	for i := range prop.clients {
-		switch i % 3 {
-		case 0:
-			prop.clients[i].ForceVersion = 2
-		case 1:
-			prop.clients[i].ForceVersion = 3
-		}
-	}
 	propReport := runOverTCPObs(t, prop, opts, o)
 	if propReport.Rounds != 3 || propReport.Stragglers != 0 || propReport.RecvErrors != 0 {
 		t.Fatalf("propagated session not clean: %+v", propReport)
 	}
-	for i := range pureReport.FinalParams {
-		if pureReport.FinalParams[i] != propReport.FinalParams[i] {
-			t.Fatalf("param %d differs: %v (plain) vs %v (propagation on)", i,
-				pureReport.FinalParams[i], propReport.FinalParams[i])
-		}
+	if !sameBits(pureReport.FinalParams, propReport.FinalParams) {
+		t.Fatal("trace propagation changed the final parameters")
 	}
 	// The propagation must actually have happened: vehicle-side stage
 	// spans carry the fusion round span as their parent.
@@ -143,5 +108,43 @@ func TestMixedVersionSession(t *testing.T) {
 		if !bytes.Contains(trace.Bytes(), []byte(key)) {
 			t.Fatalf("propagated session trace missing %s", key)
 		}
+	}
+
+	// A vehicle at the previous revision: Run refuses the session.
+	mixed := buildSession(t, 10, 1, 0)
+	var wg sync.WaitGroup
+	for i := 1; i < len(mixed.clients); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_ = RunVehicle(mixed.vconns[i], mixed.clients[i]) // fails once Run gives up
+		}(i)
+	}
+	old := &protocol.Message{Hello: &protocol.Hello{Version: protocol.Version - 1, VehicleID: 0}}
+	if err := mixed.vconns[0].Send(old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mixed.server.Run(mixed.conns); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("session with a previous-revision vehicle: err = %v, want a version refusal", err)
+	}
+	for _, c := range mixed.conns {
+		_ = c.Close()
+	}
+	wg.Wait()
+
+	// A fusion centre at the previous revision: the vehicle refuses its
+	// Setup with a permanent error.
+	fc, vc := transport.Pipe()
+	defer fc.Close()
+	done := make(chan error, 1)
+	go func() { done <- RunVehicle(vc, mixed.clients[0]) }()
+	if m, err := fc.Recv(); err != nil || m.Hello == nil || m.Hello.Version != protocol.Version {
+		t.Fatalf("vehicle hello = %+v, %v", m, err)
+	}
+	if err := fc.Send(&protocol.Message{Setup: &protocol.Setup{WireVersion: protocol.Version - 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err == nil || IsTransient(err) || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("vehicle accepted a previous-revision Setup: err = %v", err)
 	}
 }

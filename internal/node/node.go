@@ -69,8 +69,8 @@ type ServerConfig struct {
 	// DisablePipeline forces the legacy lock-step engine: no streaming
 	// ingest into the incremental decoder, no early round closes, no
 	// broadcast withholding. The pipelined engine produces bit-identical
-	// FinalParams for any schedule, worker count and wire-version mix
-	// (DESIGN.md §14, pinned by TestPipelineBitIdentical); the knob exists
+	// FinalParams for any schedule and worker count (DESIGN.md §14,
+	// pinned by TestPipelineBitIdentical); the knob exists
 	// for A/B benchmarks and as an escape hatch.
 	DisablePipeline bool
 	// WaitBudget sets how many uploads beyond the recover threshold K the
@@ -168,7 +168,6 @@ type Server struct {
 // rejoinReq is a reconnected, handshaked vehicle awaiting revival.
 type rejoinReq struct {
 	id      int
-	ver     int // negotiated wire version for this connection
 	conn    transport.Conn
 	helloNs int64 // server clock when the hello arrived (0 untraced)
 }
@@ -292,7 +291,7 @@ func (s *Server) Shared() *nn.Network { return s.shared }
 // with Finished and closed, so a retrying vehicle terminates cleanly.
 func (s *Server) Rejoin(conn transport.Conn) {
 	go func() {
-		h, ver, err := readHello(conn, s.cfg.Scheme.NumVehicles)
+		h, err := readHello(conn, s.cfg.Scheme.NumVehicles)
 		if err != nil {
 			_ = conn.Close()
 			return
@@ -301,11 +300,10 @@ func (s *Server) Rejoin(conn transport.Conn) {
 		if s.obs.TraceEnabled() {
 			helloNs = int64(s.obs.Now())
 		}
-		transport.SetWireVersion(conn, ver)
 		s.mu.Lock()
 		if !s.done {
 			select {
-			case s.rejoin <- rejoinReq{id: h.VehicleID, ver: ver, conn: conn, helloNs: helloNs}:
+			case s.rejoin <- rejoinReq{id: h.VehicleID, conn: conn, helloNs: helloNs}:
 				s.mu.Unlock()
 				return
 			default: // queue full: treat as too-late
@@ -338,62 +336,48 @@ func (s *Server) finish(rounds int) {
 	}
 }
 
-// minWireVersion is the oldest protocol revision the fusion centre still
-// speaks: revision 2, the JSON-only encoding that predates the v3 binary
-// bulk bodies.
-const minWireVersion = 2
-
-// recvHello consumes and version-validates a peer's opening hello,
-// returning the hello itself and the negotiated wire version for the
-// connection: min(our protocol.Version, the peer's announced revision).
-// A peer older than revision 2 is rejected; a newer one is clamped down
-// to ours. The vehicle-ID range is NOT checked here — a fleet routes the
-// hello to a session first and validates the ID against that session's
-// scheme (see readHello).
-func recvHello(conn transport.Conn) (*protocol.Hello, int, error) {
+// recvHello consumes and version-validates a peer's opening hello. A
+// peer announcing any revision other than protocol.Version is refused.
+// The vehicle-ID range is NOT checked here — a fleet routes the hello to
+// a session first and validates the ID against that session's scheme
+// (see readHello).
+func recvHello(conn transport.Conn) (*protocol.Hello, error) {
 	m, err := conn.Recv()
 	if err != nil {
-		return nil, 0, fmt.Errorf("node: hello: %w", err)
+		return nil, fmt.Errorf("node: hello: %w", err)
 	}
 	if m.Hello == nil {
-		return nil, 0, fmt.Errorf("node: connection opened with %s, want hello", m.Kind())
+		return nil, fmt.Errorf("node: connection opened with %s, want hello", m.Kind())
 	}
-	if m.Hello.Version < minWireVersion {
-		return nil, 0, fmt.Errorf("node: peer speaks version %d, want >= %d", m.Hello.Version, minWireVersion)
+	if m.Hello.Version != protocol.Version {
+		return nil, fmt.Errorf("node: peer speaks version %d, want %d", m.Hello.Version, protocol.Version)
 	}
-	ver := m.Hello.Version
-	if ver > protocol.Version {
-		ver = protocol.Version
-	}
-	return m.Hello, ver, nil
+	return m.Hello, nil
 }
 
 // readHello is recvHello plus the single-session vehicle-ID range check.
-func readHello(conn transport.Conn, vehicles int) (*protocol.Hello, int, error) {
-	h, ver, err := recvHello(conn)
+func readHello(conn transport.Conn, vehicles int) (*protocol.Hello, error) {
+	h, err := recvHello(conn)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if id := h.VehicleID; id < 0 || id >= vehicles {
-		return nil, 0, fmt.Errorf("node: vehicle ID %d out of range", id)
+		return nil, fmt.Errorf("node: vehicle ID %d out of range", id)
 	}
-	return h, ver, nil
+	return h, nil
 }
 
 // result is one event from a connection's receiver goroutine: an upload,
-// a detected corrupt frame, or a terminal receive error. conn identifies
-// the connection it came from, so errors from a connection that has
-// already been replaced by a rejoin are discarded. gathered marks an
-// upload unpacked from a relay's combined Gather frame — such uploads
-// arrive on whichever shard connection the relay flushed, so the
-// conn-identity staleness check does not apply to them.
+// a detected corrupt frame, or a terminal receive error. vehicleID is the
+// identity the connection's hello established — never the ID an upload
+// claims — and conn identifies the connection, so errors from a
+// connection that has already been replaced by a rejoin are discarded.
 type result struct {
 	vehicleID int
 	conn      transport.Conn
 	round     int
 	values    []float64
 	span      string // propagated upload span ID ("" when absent)
-	gathered  bool
 	corrupt   bool
 	err       error
 }
@@ -425,13 +409,11 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 			TraceID:        traceHex,
 		}
 	})
-	// Handshake: map connections to vehicle IDs and negotiate each
-	// connection's wire version from the peer's announced revision.
+	// Handshake: map connections to vehicle IDs.
 	byID := make(map[int]transport.Conn, v)
-	vers := make(map[int]int, v)
 	helloNs := make(map[int]int64, v)
 	for i, conn := range conns {
-		h, ver, err := readHello(conn, v)
+		h, err := readHello(conn, v)
 		if err != nil {
 			return nil, fmt.Errorf("node: conn %d: %w", i, err)
 		}
@@ -440,8 +422,6 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 			return nil, fmt.Errorf("node: duplicate vehicle ID %d", id)
 		}
 		byID[id] = conn
-		vers[id] = ver
-		transport.SetWireVersion(conn, ver)
 		// Relabel the instrumented connection now that the peer has
 		// identified itself: its transport events carry "vehicle-<id>"
 		// instead of the accept-order placeholder.
@@ -456,7 +436,6 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 			helloNs[id] = int64(s.obs.Now())
 			fields := []obs.Field{
 				obs.F("vehicle", id),
-				obs.F("version", ver),
 				obs.F("trace", traceHex),
 			}
 			if h.TraceID != "" {
@@ -475,6 +454,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 		SchemeBatches:    s.cfg.Scheme.NumBatches,
 		SchemeDegree:     s.cfg.Scheme.Degree,
 		SchemeSeed:       s.cfg.Scheme.Seed,
+		WireVersion:      protocol.Version,
 	}
 	// Every per-vehicle sweep below walks this sorted ID list rather
 	// than ranging byID directly: map iteration order is randomized, and
@@ -482,12 +462,11 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 	// must be identical across runs (DESIGN §8).
 	ids := sortedVehicleIDs(byID)
 	for _, id := range ids {
-		// Each vehicle gets its own Setup copy carrying the version
-		// negotiated for its connection. Deliberately not flushed here: on
-		// a buffered fabric the Setup coalesces with round 1's broadcast
-		// into a single write.
+		// Each vehicle gets its own Setup copy carrying its clock
+		// readings. Deliberately not flushed here: on a buffered fabric
+		// the Setup coalesces with round 1's broadcast into a single
+		// write.
 		su := *setup
-		su.WireVersion = vers[id]
 		if traced {
 			su.TraceID = traceHex
 			su.HelloNs = helloNs[id]
@@ -527,22 +506,6 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 					}
 					results <- result{vehicleID: id, conn: conn, err: err}
 					return
-				}
-				if m.Gather != nil {
-					// A relay combined its shard's uploads into one frame
-					// (DESIGN §16). Unpack each into the same result stream a
-					// direct upload feeds; the channel capacity argument above
-					// is unchanged because gathering redistributes uploads
-					// across connections without increasing their total.
-					for i := range m.Gather.Uploads {
-						up := &m.Gather.Uploads[i]
-						if up.VehicleID < 0 || up.VehicleID >= v {
-							results <- result{vehicleID: id, conn: conn, err: fmt.Errorf("gathered upload for out-of-range vehicle %d", up.VehicleID)}
-							return
-						}
-						results <- result{vehicleID: up.VehicleID, conn: conn, round: up.Round, values: up.Values, span: up.SpanID, gathered: true}
-					}
-					continue
 				}
 				if m.Upload == nil {
 					results <- result{vehicleID: id, conn: conn, err: fmt.Errorf("unexpected %s", m.Kind())}
@@ -643,7 +606,6 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 			_ = req.conn.Close()
 		}
 		su := *setup
-		su.WireVersion = req.ver
 		if traced {
 			su.TraceID = traceHex
 			su.HelloNs = req.helloNs
@@ -671,7 +633,8 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 		s.obs.Emit("node.round_start", obs.F("round", round))
 		// The round span's ID is derived, not random, so every process
 		// computes the same value and the merged timeline can nest
-		// vehicle-side spans under it even across JSON-only (v2) hops.
+		// vehicle-side spans under it even when the broadcast carried no
+		// context.
 		var roundCtx obs.SpanContext
 		roundFields := []obs.Field{obs.F("round", round)}
 		if traced {
@@ -716,6 +679,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 			}
 		}
 		retrans := make(map[int]int)
+		erased := make(map[int]bool) // malformed uploads dropped this round
 
 		// Streaming ingest: each accepted upload flows into the scheme's
 		// incremental decoder immediately, so most of the decode work is
@@ -808,13 +772,22 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 				case u.round != round:
 					// Stale upload from a previous round's straggler:
 					// discard; the vehicle still owes the current round,
-					// but the arrival is proof of life for the window. A
-					// gathered upload skips the conn-identity check — the
-					// relay flushes its shard's uploads on whichever leg
-					// absorbed the burst's last frame.
-					if !dead[u.vehicleID] && (u.gathered || byID[u.vehicleID] == u.conn) {
+					// but the arrival is proof of life for the window.
+					if !dead[u.vehicleID] && byID[u.vehicleID] == u.conn {
 						noteUpload(u.vehicleID, u.round)
 					}
+				case outstanding[u.vehicleID] && len(u.values) != s.scheme.UploadLen():
+					// A malformed upload answers the round but carries no
+					// usable symbol: drop it as an erasure and flag its
+					// sender, exactly as verification flags a liar.
+					noteUpload(u.vehicleID, u.round)
+					delete(outstanding, u.vehicleID)
+					erased[u.vehicleID] = true
+					flagged[u.vehicleID] = true
+					s.obs.Emit("node.malformed_upload",
+						obs.F("round", round),
+						obs.F("vehicle", u.vehicleID),
+						obs.F("values", len(u.values)))
 				case outstanding[u.vehicleID]:
 					noteUpload(u.vehicleID, u.round)
 					uploads[u.vehicleID] = u.values
@@ -828,7 +801,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 						// The ingest event parents under the upload span the
 						// vehicle propagated (network vs. compute attribution
 						// in the merged waterfall); an upload without context
-						// — an old-build vehicle — parents under the round.
+						// — an untraced vehicle — parents under the round.
 						ingest := obs.SpanContext{
 							Trace: s.trace,
 							Span:  obs.DeriveSpan(s.trace, "node.ingest", uint64(round), uint64(u.vehicleID)),
@@ -883,7 +856,7 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 		}
 		roundStragglers := 0
 		for _, id := range ids {
-			if !dead[id] && uploads[id] == nil {
+			if !dead[id] && uploads[id] == nil && !erased[id] {
 				report.Stragglers++
 				roundStragglers++
 				s.cStragglers.Inc()
@@ -1028,9 +1001,9 @@ func clamp01(v float64) float64 {
 type ClientConfig struct {
 	// VehicleID is the vehicle's identity (0..V-1).
 	VehicleID int
-	// SessionID names the FL session to join on a multi-session fleet
-	// (protocol revision 5). Empty joins the fleet's default session; a
-	// single-session fusion centre ignores it either way.
+	// SessionID names the FL session to join on a multi-session fleet.
+	// Empty joins the fleet's default session; a single-session fusion
+	// centre ignores it either way.
 	SessionID string
 	// Data is the private local dataset.
 	Data []nn.Sample
@@ -1039,10 +1012,6 @@ type ClientConfig struct {
 	// Corrupt optionally turns the vehicle malicious: every uploaded
 	// scalar is rewritten by the behaviour before sending.
 	Corrupt adversary.Behavior
-	// ForceVersion caps the protocol revision the vehicle announces in
-	// its hello (0 means protocol.Version). Mixed-version tests pin it to
-	// 2 to stand in for a fleet member running the JSON-only build.
-	ForceVersion int
 }
 
 // transientError marks connection-level failures that RunVehicleRetry
@@ -1092,7 +1061,7 @@ type vehicleSession struct {
 	lastUpload []float64
 
 	// trace is the session trace adopted from Setup.TraceID (or derived
-	// from the scheme seed when the fusion centre predates propagation);
+	// from the scheme seed when the fusion centre runs untraced);
 	// parentSpan is the current round's fusion-side span, the propagated
 	// parent of this round's train/encode/upload spans. Both zero with
 	// tracing off; single-goroutine like lastRound.
@@ -1176,12 +1145,8 @@ func (s *vehicleSession) install(setup *protocol.Setup) error {
 // and may be retried on a fresh connection with the same session.
 func (s *vehicleSession) run(conn transport.Conn) error {
 	id := s.cfg.VehicleID
-	announce := protocol.Version
-	if s.cfg.ForceVersion > 0 {
-		announce = s.cfg.ForceVersion
-	}
 	traced := s.o.TraceEnabled()
-	hello := &protocol.Hello{Version: announce, VehicleID: id, SessionID: s.cfg.SessionID}
+	hello := &protocol.Hello{Version: protocol.Version, VehicleID: id, SessionID: s.cfg.SessionID}
 	if traced && s.trace != 0 {
 		// Reconnecting mid-session: announce the already-adopted session
 		// trace so the fusion centre can tie the rejoin to it.
@@ -1231,24 +1196,17 @@ func (s *vehicleSession) run(conn transport.Conn) error {
 		setup = m.Setup
 		t1 = s.o.Now()
 	}
-	// Adopt the version the fusion centre negotiated for this connection.
-	// Absent (0) means a revision-2 fusion centre that predates the
-	// field; never rise above what we announced.
-	wire := setup.WireVersion
-	if wire < minWireVersion {
-		wire = minWireVersion
+	if setup.WireVersion != protocol.Version {
+		return fmt.Errorf("node: fusion centre speaks version %d, want %d", setup.WireVersion, protocol.Version)
 	}
-	if wire > announce {
-		wire = announce
-	}
-	transport.SetWireVersion(conn, wire)
 	if err := s.install(setup); err != nil {
 		return err
 	}
 	if traced {
 		// Adopt the session trace: from Setup when the fusion centre
 		// propagates one, else derived from the scheme seed — both sides
-		// compute the same ID, so pre-propagation peers still converge.
+		// compute the same ID, so an untraced fusion centre still
+		// converges.
 		if tr := obs.ParseID(setup.TraceID); tr != 0 {
 			s.trace = tr
 		} else if s.trace == 0 {
@@ -1294,7 +1252,7 @@ func (s *vehicleSession) run(conn transport.Conn) error {
 		if traced && s.trace != 0 {
 			// The broadcast carries the fusion round span — the parent for
 			// this round's train/encode/upload spans. A context-free
-			// broadcast (old fusion centre) falls back to the derived
+			// broadcast (untraced fusion centre) falls back to the derived
 			// round span, which is the same value the server computes.
 			if p := obs.ParseID(bc.SpanID); p != 0 {
 				s.parentSpan = p

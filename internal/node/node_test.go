@@ -371,3 +371,68 @@ func TestDistributedVehicleCrashMidSession(t *testing.T) {
 		t.Errorf("rounds = %d, want 3 despite the crashed vehicle", report.Rounds)
 	}
 }
+
+// TestMalformedUploadIsErasure: a vehicle that sends a one-element
+// upload every round no longer aborts the session. Each malformed upload
+// is dropped as an erasure and its sender flagged, so the session ends
+// bit-identical to the same session with that vehicle as a ConstantLie
+// liar: in both, Aggregate averages the same verified set in the same
+// order.
+func TestMalformedUploadIsErasure(t *testing.T) {
+	const vehicles, rounds, bad = 12, 3, 5
+	s := buildSession(t, vehicles, rounds, 0)
+	var wg sync.WaitGroup
+	for i := range s.clients {
+		wg.Add(1)
+		if i == bad {
+			go func(conn transport.Conn) {
+				defer wg.Done()
+				if err := conn.Send(&protocol.Message{Hello: &protocol.Hello{Version: protocol.Version, VehicleID: bad}}); err != nil {
+					t.Errorf("malformed vehicle hello: %v", err)
+					return
+				}
+				for {
+					m, err := conn.Recv()
+					if err != nil || m.Finished != nil {
+						return
+					}
+					if m.Broadcast == nil {
+						continue
+					}
+					up := &protocol.Upload{Round: m.Broadcast.Round, VehicleID: bad, Values: []float64{1}}
+					if err := conn.Send(&protocol.Message{Upload: up}); err != nil {
+						return
+					}
+				}
+			}(s.vconns[i])
+			continue
+		}
+		go func(i int) {
+			defer wg.Done()
+			if err := RunVehicle(s.vconns[i], s.clients[i]); err != nil {
+				t.Errorf("vehicle %d: %v", i, err)
+			}
+		}(i)
+	}
+	report, err := s.server.Run(s.conns)
+	if err != nil {
+		t.Fatalf("malformed upload aborted the session: %v", err)
+	}
+	wg.Wait()
+	if report.Rounds != rounds || report.Stragglers != 0 || report.DegradedRounds != 0 {
+		t.Fatalf("session report = %+v", report)
+	}
+	if len(report.SuspectedMalicious) != 1 || report.SuspectedMalicious[0] != bad {
+		t.Fatalf("suspected = %v, want [%d]", report.SuspectedMalicious, bad)
+	}
+
+	liar := buildSession(t, vehicles, rounds, 0)
+	liar.clients[bad].Corrupt = adversary.ConstantLie{Value: 5}
+	liarReport := liar.run(t)
+	if len(liarReport.SuspectedMalicious) != 1 || liarReport.SuspectedMalicious[0] != bad {
+		t.Fatalf("liar session suspected = %v, want [%d]", liarReport.SuspectedMalicious, bad)
+	}
+	if !sameBits(report.FinalParams, liarReport.FinalParams) {
+		t.Fatal("malformed-upload session differs from the liar session")
+	}
+}

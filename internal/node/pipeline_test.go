@@ -20,30 +20,20 @@ type pipelineCase struct {
 }
 
 // runPipelineSession executes one chaos session and returns its report.
-// lockstep selects the legacy engine; mixed pins every even vehicle to
-// wire version 2 (the JSON-only build) so the fleet negotiates per
-// connection.
-func runPipelineSession(t *testing.T, vehicles, rounds, workers int, lockstep, mixed bool, tc pipelineCase) *Report {
+// lockstep selects the legacy engine.
+func runPipelineSession(t *testing.T, vehicles, rounds, workers int, lockstep bool, tc pipelineCase) *Report {
 	t.Helper()
 	s := buildSessionFull(t, vehicles, rounds, 0, nil, workers)
 	s.server.cfg.DisablePipeline = lockstep
 	if tc.timeout > 0 {
 		s.server.cfg.RoundTimeout = tc.timeout
 	}
-	if mixed {
-		for i := range s.clients {
-			if i%2 == 0 {
-				s.clients[i].ForceVersion = 2
-			}
-		}
-	}
 	inj := chaos.New(mustChaosSpec(t, tc.spec), chaos.Options{Sleeper: &obs.ManualSleeper{}})
 	return chaosRun(t, s, inj, tc.retry)
 }
 
 // TestPipelineBitIdentical pins the tentpole invariant: for every
-// schedule (chaos spec), worker count and wire-version mix, the
-// pipelined engine produces bit-identical FinalParams — and identical
+// schedule (chaos spec) and worker count, the pipelined engine produces bit-identical FinalParams — and identical
 // recovery counters — to the lock-step engine forced by DisablePipeline.
 func TestPipelineBitIdentical(t *testing.T) {
 	const vehicles, rounds = 12, 3
@@ -60,38 +50,35 @@ func TestPipelineBitIdentical(t *testing.T) {
 			retry: map[int]bool{4: true}},
 	}
 	for _, tc := range cases {
-		for _, mixed := range []bool{false, true} {
-			base := runPipelineSession(t, vehicles, rounds, 1, true, mixed, tc)
-			if base.Rounds != rounds {
-				t.Fatalf("%s mixed=%v: lock-step rounds = %d", tc.name, mixed, base.Rounds)
+		base := runPipelineSession(t, vehicles, rounds, 1, true, tc)
+		if base.Rounds != rounds {
+			t.Fatalf("%s: lock-step rounds = %d", tc.name, base.Rounds)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			rep := runPipelineSession(t, vehicles, rounds, workers, false, tc)
+			if !sameBits(rep.FinalParams, base.FinalParams) {
+				t.Errorf("%s workers=%d: pipelined FinalParams diverged from lock-step",
+					tc.name, workers)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				rep := runPipelineSession(t, vehicles, rounds, workers, false, mixed, tc)
-				if !sameBits(rep.FinalParams, base.FinalParams) {
-					t.Errorf("%s mixed=%v workers=%d: pipelined FinalParams diverged from lock-step",
-						tc.name, mixed, workers)
-				}
-				// RecvErrors is compared only for crash-free specs: whether
-				// the fusion centre's receiver observes a killed conn's EOF
-				// before the rejoin replaces it is a scheduling race in BOTH
-				// engines (TestChaosRecoveryBitIdentical omits it likewise).
-				if tc.retry == nil && rep.RecvErrors != base.RecvErrors {
-					t.Errorf("%s mixed=%v workers=%d: recv errors %d, lock-step %d",
-						tc.name, mixed, workers, rep.RecvErrors, base.RecvErrors)
-				}
-				if rep.Rounds != base.Rounds ||
-					rep.Stragglers != base.Stragglers ||
-					rep.CorruptFrames != base.CorruptFrames ||
-					rep.Retransmits != base.Retransmits ||
-					rep.Rejoins != base.Rejoins ||
-					rep.DegradedRounds != base.DegradedRounds {
-					t.Errorf("%s mixed=%v workers=%d: recovery counters diverged:\npipelined %+v\nlock-step %+v",
-						tc.name, mixed, workers, rep, base)
-				}
-				if len(rep.SuspectedMalicious) != len(base.SuspectedMalicious) {
-					t.Errorf("%s mixed=%v workers=%d: flagged %v, lock-step %v",
-						tc.name, mixed, workers, rep.SuspectedMalicious, base.SuspectedMalicious)
-				}
+			// chaosRun delivers a crashed conn's failure only after the
+			// rejoin replaced it, so RecvErrors is deterministic even
+			// for the crash spec.
+			if rep.RecvErrors != base.RecvErrors {
+				t.Errorf("%s workers=%d: recv errors %d, lock-step %d",
+					tc.name, workers, rep.RecvErrors, base.RecvErrors)
+			}
+			if rep.Rounds != base.Rounds ||
+				rep.Stragglers != base.Stragglers ||
+				rep.CorruptFrames != base.CorruptFrames ||
+				rep.Retransmits != base.Retransmits ||
+				rep.Rejoins != base.Rejoins ||
+				rep.DegradedRounds != base.DegradedRounds {
+				t.Errorf("%s workers=%d: recovery counters diverged:\npipelined %+v\nlock-step %+v",
+					tc.name, workers, rep, base)
+			}
+			if len(rep.SuspectedMalicious) != len(base.SuspectedMalicious) {
+				t.Errorf("%s workers=%d: flagged %v, lock-step %v",
+					tc.name, workers, rep.SuspectedMalicious, base.SuspectedMalicious)
 			}
 		}
 	}

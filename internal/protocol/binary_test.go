@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -24,16 +25,15 @@ func TestBinaryRoundTrip(t *testing.T) {
 		{Upload: &Upload{Round: 1, VehicleID: 0}},
 	} {
 		var buf bytes.Buffer
-		if err := WriteVersion(&buf, m, Version); err != nil {
+		if err := Write(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 		if got := buf.Bytes()[headerLen]; got != binaryMagic {
-			t.Fatalf("v3 bulk frame body starts with %#x, want binary magic", got)
+			t.Fatalf("bulk frame body starts with %#x, want binary magic", got)
 		}
-		if want := EncodedSizeVersion(m, Version) + 4; buf.Len() != want {
-			// EncodedSizeVersion counts 4 length bytes but not the CRC,
-			// matching EncodedSize's convention.
-			t.Fatalf("frame is %d bytes, EncodedSizeVersion promises %d", buf.Len(), want)
+		if want := EncodedSize(m) + 4; buf.Len() != want {
+			// EncodedSize counts 4 length bytes but not the CRC.
+			t.Fatalf("frame is %d bytes, EncodedSize promises %d", buf.Len(), want)
 		}
 		got, err := Read(bytes.NewReader(buf.Bytes()))
 		if err != nil {
@@ -49,7 +49,7 @@ func TestBinaryPreservesNaNBits(t *testing.T) {
 	payload := math.Float64frombits(0x7ff8_dead_beef_0001) // NaN with payload bits
 	m := &Message{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{payload}}}
 	var buf bytes.Buffer
-	if err := WriteVersion(&buf, m, Version); err != nil {
+	if err := Write(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(&buf)
@@ -59,69 +59,77 @@ func TestBinaryPreservesNaNBits(t *testing.T) {
 	if bits := math.Float64bits(got.Upload.Values[0]); bits != 0x7ff8_dead_beef_0001 {
 		t.Fatalf("NaN bits changed: %016x", bits)
 	}
-	// The JSON path cannot carry this value at all — the binary encoding
-	// is strictly more faithful, not differently lossy.
-	if err := Write(&buf, m); err == nil {
+	// JSON cannot carry this value at all — the binary encoding is
+	// strictly more faithful, not differently lossy.
+	if _, err := json.Marshal(m); err == nil {
 		t.Fatal("JSON encoding of NaN unexpectedly succeeded")
 	}
 }
 
-func TestWriteVersionFallsBackToJSON(t *testing.T) {
-	cases := []*Message{
-		{Hello: &Hello{Version: Version, VehicleID: 1}},                  // non-bulk
-		{Finished: &Finished{Rounds: 2}},                                 // non-bulk
+// TestWriteRefusesUnencodableBulk: a bulk message whose fields do not fit
+// the binary layout is refused — nothing reaches the writer and
+// EncodedSize reports 0 — while control messages always travel as JSON.
+func TestWriteRefusesUnencodableBulk(t *testing.T) {
+	for _, m := range []*Message{
 		{Broadcast: &Broadcast{Round: -1, Params: []float64{1}}},         // round outside u32
 		{Upload: &Upload{Round: 1, VehicleID: -5, Values: []float64{1}}}, // id outside u32
-	}
-	for _, m := range cases {
+	} {
 		var buf bytes.Buffer
-		if err := WriteVersion(&buf, m, Version); err != nil {
+		if err := Write(&buf, m); err == nil {
+			t.Fatalf("%s outside the binary layout was written", m.Kind())
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("refused %s left %d bytes on the writer", m.Kind(), buf.Len())
+		}
+		if n := EncodedSize(m); n != 0 {
+			t.Fatalf("EncodedSize of a refused %s = %d, want 0", m.Kind(), n)
+		}
+	}
+	for _, m := range []*Message{
+		{Hello: &Hello{Version: Version, VehicleID: 1}},
+		{Finished: &Finished{Rounds: 2}},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
 			t.Fatal(err)
 		}
-		if buf.Bytes()[headerLen] == binaryMagic {
-			t.Fatalf("%s unexpectedly encoded in binary", m.Kind())
+		if buf.Bytes()[headerLen] != '{' {
+			t.Fatalf("%s not encoded as JSON: % x", m.Kind(), buf.Bytes())
 		}
-		got, err := ReadVersion(bytes.NewReader(buf.Bytes()), 2)
-		if err != nil {
-			t.Fatalf("v2 reader rejected the JSON fallback: %v", err)
+		got, err := Read(&buf)
+		if err != nil || !reflect.DeepEqual(m, got) {
+			t.Fatalf("control round trip = %+v, %v", got, err)
 		}
-		if !reflect.DeepEqual(m, got) {
-			t.Fatalf("fallback round trip changed the message: %+v -> %+v", m, got)
-		}
-	}
-	// A v2-negotiated writer never emits binary, whatever the message.
-	var buf bytes.Buffer
-	bulk := &Message{Broadcast: &Broadcast{Round: 1, Params: []float64{1, 2}}}
-	if err := WriteVersion(&buf, bulk, 2); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[headerLen] == binaryMagic {
-		t.Fatal("v2-negotiated write emitted a binary body")
 	}
 }
 
-func TestV2ReaderRejectsBinaryFrameCleanly(t *testing.T) {
-	m := &Message{Broadcast: &Broadcast{Round: 1, Params: []float64{1, 2, 3}}}
-	var buf bytes.Buffer
-	if err := WriteVersion(&buf, m, Version); err != nil {
-		t.Fatal(err)
-	}
-	// Append a JSON frame behind the binary one: the v2 reader must
-	// consume the rejected frame entirely and stay in sync.
-	tail := &Message{Finished: &Finished{Rounds: 4}}
-	if err := Write(&buf, tail); err != nil {
-		t.Fatal(err)
-	}
-	r := bytes.NewReader(buf.Bytes())
-	if _, err := ReadVersion(r, 2); err == nil || !strings.Contains(err.Error(), "binary frame") {
-		t.Fatalf("v2 read of a binary frame: err=%v, want a binary-frame rejection", err)
-	}
-	got, err := ReadVersion(r, 2)
-	if err != nil {
-		t.Fatalf("stream out of sync after rejected binary frame: %v", err)
-	}
-	if got.Finished == nil || got.Finished.Rounds != 4 {
-		t.Fatalf("wrong trailing message: %+v", got)
+// TestReadRejectsJSONBulk: a bulk message with a JSON body is a
+// frame-local error — the frame is consumed and the stream stays in sync.
+func TestReadRejectsJSONBulk(t *testing.T) {
+	for _, m := range []*Message{
+		{Broadcast: &Broadcast{Round: 1, Params: []float64{1, 2, 3}}},
+		{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{4}}},
+	} {
+		body, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := frame(body)
+		var tail bytes.Buffer
+		if err := Write(&tail, &Message{Finished: &Finished{Rounds: 4}}); err != nil {
+			t.Fatal(err)
+		}
+		r := bytes.NewReader(append(stream, tail.Bytes()...))
+		if _, err := Read(r); err == nil || !strings.Contains(err.Error(), "JSON body") {
+			t.Fatalf("JSON-bodied %s: err=%v, want a JSON-body rejection", m.Kind(), err)
+		}
+		got, err := Read(r)
+		if err != nil {
+			t.Fatalf("stream out of sync after rejected %s: %v", m.Kind(), err)
+		}
+		if got.Finished == nil || got.Finished.Rounds != 4 {
+			t.Fatalf("wrong trailing message: %+v", got)
+		}
 	}
 }
 
@@ -154,8 +162,12 @@ func TestBinaryWireBytesRatio(t *testing.T) {
 		params[i] = rng.NormFloat64()
 	}
 	m := &Message{Broadcast: &Broadcast{Round: 1, Params: params}}
-	jsonBytes := EncodedSize(m)
-	binBytes := EncodedSizeVersion(m, Version)
+	body, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonBytes := 4 + len(body)
+	binBytes := EncodedSize(m)
 	if binBytes >= jsonBytes {
 		t.Fatalf("binary (%d B) not smaller than JSON (%d B)", binBytes, jsonBytes)
 	}
@@ -165,9 +177,7 @@ func TestBinaryWireBytesRatio(t *testing.T) {
 }
 
 // BenchmarkWireCodec measures encode+decode ns and bytes for the bulk
-// Broadcast message at realistic parameter counts, JSON against binary.
-// scripts/bench.sh --matrix feeds these entries to benchreport's
-// binary_vs_json ratio gate.
+// Broadcast message at realistic parameter counts.
 func BenchmarkWireCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{100, 1000} {
@@ -176,24 +186,28 @@ func BenchmarkWireCodec(b *testing.B) {
 			params[i] = rng.NormFloat64()
 		}
 		m := &Message{Broadcast: &Broadcast{Round: 5, Params: params}}
-		for _, enc := range []struct {
-			name    string
-			version int
-		}{{"json", 2}, {"binary", Version}} {
-			b.Run(fmt.Sprintf("params=%d/enc=%s", n, enc.name), func(b *testing.B) {
-				var buf bytes.Buffer
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					buf.Reset()
-					if err := WriteVersion(&buf, m, enc.version); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := ReadVersion(&buf, enc.version); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("params=%d/enc=binary", n), func(b *testing.B) {
+			// One untimed round trip pays the one-time costs (CRC table
+			// set-up, buffer growth) outside the measured loop.
+			var buf bytes.Buffer
+			if err := Write(&buf, m); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Read(&buf); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := Write(&buf, m); err != nil {
+					b.Fatal(err)
 				}
-				b.SetBytes(int64(EncodedSizeVersion(m, enc.version)))
-			})
-		}
+				if _, err := Read(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(EncodedSize(m)))
+		})
 	}
 }

@@ -3,110 +3,33 @@ package protocol
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestGatherBinaryRoundTrip: a context-free gather at the fleet version
-// travels as one binary frame and round-trips exactly, NaN bit patterns
-// included.
-func TestGatherBinaryRoundTrip(t *testing.T) {
-	want := &Message{Gather: &Gather{Uploads: []Upload{
-		{Round: 4, VehicleID: 1, Values: []float64{1.5, -2.25}},
-		{Round: 4, VehicleID: 3, Values: nil},
-		{Round: 3, VehicleID: 9, Values: []float64{math.NaN(), math.Inf(-1), 0}},
-	}}}
-	var buf bytes.Buffer
-	if err := WriteVersion(&buf, want, FleetVersion); err != nil {
-		t.Fatal(err)
-	}
-	if b := buf.Bytes(); len(b) < 10 || b[8] != binaryMagic || b[9] != binaryKindGather {
-		t.Fatalf("frame not binary gather: % x", b[:min(len(b), 12)])
-	}
-	if got, want := buf.Len(), 4+4+binaryBodyLen(want); got != want {
-		t.Fatalf("frame length %d, want %d", got, want)
-	}
-	if got := EncodedSizeVersion(want, FleetVersion); got != 4+binaryBodyLen(want) {
-		t.Fatalf("EncodedSizeVersion = %d, want %d", got, 4+binaryBodyLen(want))
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Gather == nil || len(got.Gather.Uploads) != 3 {
-		t.Fatalf("decoded %+v", got)
-	}
-	for i := range want.Gather.Uploads {
-		w, g := want.Gather.Uploads[i], got.Gather.Uploads[i]
-		if g.Round != w.Round || g.VehicleID != w.VehicleID || len(g.Values) != len(w.Values) {
-			t.Fatalf("upload %d = %+v, want %+v", i, g, w)
-		}
-		for j := range w.Values {
-			if math.Float64bits(g.Values[j]) != math.Float64bits(w.Values[j]) {
-				t.Fatalf("upload %d value %d bits differ", i, j)
-			}
-		}
-	}
-}
-
-// TestGatherFallsBackToJSON: below the fleet version, or when any inner
-// upload carries trace context, the gather goes out as JSON — which
-// round-trips the context byte-for-byte.
-func TestGatherFallsBackToJSON(t *testing.T) {
-	plain := &Message{Gather: &Gather{Uploads: []Upload{{Round: 1, VehicleID: 0, Values: []float64{1}}}}}
-	var buf bytes.Buffer
-	if err := WriteVersion(&buf, plain, FleetVersion-1); err != nil {
-		t.Fatal(err)
-	}
-	if b := buf.Bytes(); b[8] == binaryMagic {
-		t.Fatal("gather emitted in binary below the fleet version")
-	}
-	buf.Reset()
-	traced := &Message{Gather: &Gather{Uploads: []Upload{
-		{Round: 1, VehicleID: 0, Values: []float64{1},
-			TraceID: "00000000000000ab", SpanID: "00000000000000cd"},
-	}}}
-	if err := WriteVersion(&buf, traced, FleetVersion); err != nil {
-		t.Fatal(err)
-	}
-	if b := buf.Bytes(); b[8] == binaryMagic {
-		t.Fatal("context-bearing gather emitted in binary")
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, traced) {
-		t.Fatalf("round trip = %+v, want %+v", got, traced)
-	}
-}
-
-// TestGatherBinaryRejectsMalformed: truncated and over-counted gather
-// bodies are frame-local errors, never panics or misparses.
+// TestGatherBinaryRejectsMalformed: binary kind 5, the retired relay
+// gather layout, is no longer a message kind. A well-formed body of the
+// old layout is a frame-local error like any unknown kind — never a
+// panic or a misparse — and the stream stays in sync behind it.
 func TestGatherBinaryRejectsMalformed(t *testing.T) {
-	good := &Message{Gather: &Gather{Uploads: []Upload{
-		{Round: 1, VehicleID: 2, Values: []float64{3}},
-		{Round: 1, VehicleID: 4, Values: []float64{5, 6}},
-	}}}
-	body := appendBinary(nil, good)
-	cases := map[string][]byte{
-		"no count":        body[:4],
-		"truncated entry": body[:10],
-		"truncated tail":  body[:len(body)-1],
-		"trailing bytes":  append(append([]byte{}, body...), 0),
+	// count u32 = 1, then round u32, vehicle u32, n u32 = 1, one float.
+	body := []byte{binaryMagic, 5, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}
+	var tail bytes.Buffer
+	if err := Write(&tail, &Message{Finished: &Finished{Rounds: 1}}); err != nil {
+		t.Fatal(err)
 	}
-	overCount := append([]byte{}, body...)
-	overCount[2] = 200 // count u32 LE low byte
-	cases["over-counted"] = overCount
-	for name, b := range cases {
-		if _, err := parseBinary(b); err == nil {
-			t.Errorf("%s: malformed gather accepted", name)
-		}
+	r := bytes.NewReader(append(frame(body), tail.Bytes()...))
+	if _, err := Read(r); err == nil || !strings.Contains(err.Error(), "unknown binary message kind 5") {
+		t.Fatalf("gather body: err = %v, want an unknown-kind rejection", err)
 	}
-	if m, err := parseBinary(body); err != nil || !reflect.DeepEqual(m, good) {
-		t.Fatalf("control round trip failed: %v %+v", err, m)
+	if m, err := Read(r); err != nil || m.Finished == nil {
+		t.Fatalf("stream out of sync after the rejected frame: %+v, %v", m, err)
+	}
+	// Its JSON form names no known variant, so it fails validation.
+	legacy := []byte(`{"gather":{"uploads":[{"round":1,"vehicle_id":2,"values":[1]}]}}`)
+	if _, err := Read(bytes.NewReader(frame(legacy))); err == nil {
+		t.Fatal("JSON gather frame accepted")
 	}
 }
 
@@ -119,7 +42,7 @@ func TestAdmissionRoundTrip(t *testing.T) {
 		{Admission: &Admission{Reason: "budget exhausted", Retry: true}},
 	} {
 		var buf bytes.Buffer
-		if err := WriteVersion(&buf, want, FleetVersion); err != nil {
+		if err := Write(&buf, want); err != nil {
 			t.Fatal(err)
 		}
 		got, err := Read(&buf)
@@ -133,8 +56,8 @@ func TestAdmissionRoundTrip(t *testing.T) {
 }
 
 // TestHelloSessionIDWireCompat: the session ID rides Hello as an
-// optional key — absent it the encoded bytes are identical to the v4
-// wire, so v<=4 peers and golden traces are unaffected.
+// optional key — absent, it is not serialized at all, so a single-session
+// hello carries no fleet bytes.
 func TestHelloSessionIDWireCompat(t *testing.T) {
 	plain := &Message{Hello: &Hello{Version: Version, VehicleID: 2}}
 	body, err := json.Marshal(plain)

@@ -2,9 +2,7 @@ package protocol
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"math"
 	"testing"
 )
@@ -20,15 +18,15 @@ func encodeSeed(f *testing.F, m *Message) []byte {
 	return buf.Bytes()
 }
 
-// encodeSeedV3 frames m under the v3 negotiated encoding, yielding
-// binary bodies for the bulk messages.
-func encodeSeedV3(f *testing.F, m *Message) []byte {
+// jsonSeed frames the JSON form of m, which Write never emits for the
+// bulk messages: the decoder must reject those frames cleanly.
+func jsonSeed(f *testing.F, m *Message) []byte {
 	f.Helper()
-	var buf bytes.Buffer
-	if err := WriteVersion(&buf, m, Version); err != nil {
+	body, err := json.Marshal(m)
+	if err != nil {
 		f.Fatal(err)
 	}
-	return buf.Bytes()
+	return frame(body)
 }
 
 // FuzzFrameCodec feeds arbitrary bytes to the frame decoder. Read must
@@ -49,37 +47,33 @@ func FuzzFrameCodec(f *testing.F) {
 	for _, m := range variants {
 		f.Add(encodeSeed(f, m))
 	}
-	// v3 binary-body frames for the bulk messages, including the float
-	// payloads JSON cannot carry at all (NaN bit patterns, infinities).
-	f.Add(encodeSeedV3(f, variants[2]))
-	f.Add(encodeSeedV3(f, variants[3]))
-	f.Add(encodeSeedV3(f, &Message{Broadcast: &Broadcast{Round: 2,
+	// JSON-bodied bulk frames, which Read must reject; the fuzzer mutates
+	// from here into the boundary between the two body encodings.
+	f.Add(jsonSeed(f, variants[2]))
+	f.Add(jsonSeed(f, variants[3]))
+	// Binary frames carrying the float payloads JSON cannot carry at all
+	// (NaN bit patterns, infinities), and an empty upload.
+	f.Add(encodeSeed(f, &Message{Broadcast: &Broadcast{Round: 2,
 		Params: []float64{math.NaN(), math.Inf(1), math.Copysign(0, -1)}}}))
-	f.Add(encodeSeedV3(f, &Message{Upload: &Upload{Round: 7, VehicleID: 1}}))
-	// v4 context-bearing binary frames (kinds 3/4), including a NaN
-	// payload so the ctx kinds' bit-exact float path is exercised.
-	f.Add(encodeSeedV3(f, &Message{Broadcast: &Broadcast{Round: 2,
+	f.Add(encodeSeed(f, &Message{Upload: &Upload{Round: 7, VehicleID: 1}}))
+	// Context-bearing binary frames (kinds 3/4), including a NaN payload
+	// so the ctx kinds' bit-exact float path is exercised.
+	f.Add(encodeSeed(f, &Message{Broadcast: &Broadcast{Round: 2,
 		Params:  []float64{math.NaN(), 1.5},
 		TraceID: "00000000deadbeef", SpanID: "00000000cafef00d"}}))
-	f.Add(encodeSeedV3(f, &Message{Upload: &Upload{Round: 2, VehicleID: 3,
+	f.Add(encodeSeed(f, &Message{Upload: &Upload{Round: 2, VehicleID: 3,
 		Values:  []float64{-0.5},
 		TraceID: "00000000deadbeef", SpanID: "00000000cafef00d"}}))
-	// Non-canonical context rides the JSON fallback; the fuzzer mutates
-	// from here into the interesting mixed region.
-	f.Add(encodeSeedV3(f, &Message{Upload: &Upload{Round: 1, VehicleID: 1,
+	// A JSON upload with non-canonical context: no binary form exists.
+	f.Add(jsonSeed(f, &Message{Upload: &Upload{Round: 1, VehicleID: 1,
 		Values: []float64{2}, TraceID: "ABC", SpanID: "def"}}))
-	// v5 fleet frames: a session-routed hello, an admission answer, and
-	// gathers in both encodings (binary kind 5, JSON with context).
+	// Fleet frames: a session-routed hello and an admission answer.
 	f.Add(encodeSeed(f, &Message{Hello: &Hello{Version: Version, VehicleID: 1, SessionID: "s1"}}))
 	f.Add(encodeSeed(f, &Message{Admission: &Admission{Queued: true, Reason: "budget"}}))
-	f.Add(encodeSeedV3(f, &Message{Gather: &Gather{Uploads: []Upload{
-		{Round: 1, VehicleID: 0, Values: []float64{math.NaN(), 2}},
-		{Round: 1, VehicleID: 5},
-	}}}))
-	f.Add(encodeSeedV3(f, &Message{Gather: &Gather{Uploads: []Upload{
-		{Round: 2, VehicleID: 3, Values: []float64{1},
-			TraceID: "00000000deadbeef", SpanID: "00000000cafef00d"},
-	}}}))
+	// The retired relay gather frame in both of its old encodings: JSON
+	// (no known variant) and binary kind 5 (unknown kind).
+	f.Add(frame([]byte(`{"gather":{"uploads":[{"round":1,"vehicle_id":0,"values":[2]}]}}`)))
+	f.Add(frame([]byte{0xB3, 0x05, 1, 0, 0, 0, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0}))
 	// Malformed shapes the decoder must reject without panicking.
 	corrupt := encodeSeed(f, variants[0])
 	corrupt[len(corrupt)-1] ^= 0xff // body flip: CRC mismatch
@@ -103,28 +97,17 @@ func FuzzFrameCodec(f *testing.F) {
 		{0xB3, 0x03, 1, 2, 3, 4},
 		{0xB3, 0x04, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 			1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0},
-		// gather kind: bare header, zero count, over-counted entries,
-		// and a truncated inner upload.
+		// the retired gather kind 5: bare header, zero count,
+		// over-counted entries, and a truncated inner upload.
 		{0xB3, 0x05},
 		{0xB3, 0x05, 0, 0, 0, 0},
 		{0xB3, 0x05, 9, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0},
 		{0xB3, 0x05, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 1, 2},
 	} {
-		frame := make([]byte, 8, 8+len(body))
-		binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
-		binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-		f.Add(append(frame, body...))
+		f.Add(frame(body))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// A v2-only decoder fed the same stream must fail cleanly on v3
-		// binary frames — no panic, no misparse — before we even look at
-		// what the current decoder makes of it.
-		if m, err := ReadVersion(bytes.NewReader(data), 2); err == nil {
-			if err := m.Validate(); err != nil {
-				t.Fatalf("v2 read returned an invalid message: %v", err)
-			}
-		}
 		m, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return // rejection is fine; panics and hangs are not
@@ -132,12 +115,12 @@ func FuzzFrameCodec(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("Read returned an invalid message: %v", err)
 		}
-		// Round trip through the negotiated v3 encoder and compare the
-		// re-encodings byte for byte: unlike a JSON comparison this stays
-		// meaningful for payloads JSON cannot marshal (NaN), which the
-		// binary path round-trips bit-exactly.
+		// Round trip through the encoder and compare the re-encodings
+		// byte for byte: unlike a JSON comparison this stays meaningful
+		// for payloads JSON cannot marshal (NaN), which the binary path
+		// round-trips bit-exactly.
 		var buf bytes.Buffer
-		if err := WriteVersion(&buf, m, Version); err != nil {
+		if err := Write(&buf, m); err != nil {
 			t.Fatalf("accepted message does not re-encode: %v", err)
 		}
 		m2, err := Read(bytes.NewReader(buf.Bytes()))
@@ -145,7 +128,7 @@ func FuzzFrameCodec(f *testing.F) {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
 		var buf2 bytes.Buffer
-		if err := WriteVersion(&buf2, m2, Version); err != nil {
+		if err := Write(&buf2, m2); err != nil {
 			t.Fatalf("decoded message does not re-encode: %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {

@@ -2,10 +2,9 @@
 // centre and the vehicles when L-CoFL runs as an actual distributed system
 // (package transport carries them; package node speaks them).
 //
-// Messages are length-prefixed, checksummed JSON: a 4-byte big-endian
-// length, a 4-byte CRC-32 (IEEE) of the body, then a JSON envelope
-// {type, payload}. JSON keeps the wire debuggable and the stdlib-only
-// constraint satisfied; the framing bounds message size so a malformed or
+// There is one protocol revision, Version. Every message travels in a
+// frame: a 4-byte big-endian length, a 4-byte CRC-32 (IEEE) of the body,
+// then the body. The framing bounds message size so a malformed or
 // malicious peer cannot force unbounded allocation, and the checksum turns
 // channel corruption into a *detected*, frame-local error: Read consumes
 // the corrupted frame entirely and returns ErrCorruptFrame, so the stream
@@ -13,36 +12,20 @@
 // of tearing the connection down (package node counts these and prompts a
 // retransmit; see DESIGN.md §11).
 //
-// Protocol revision 3 adds a binary body encoding for the two bulk
-// messages (Broadcast and Upload): raw little-endian float64 payloads
-// inside the same length+CRC frame, roughly 2.5x smaller than their
-// decimal-text JSON form at realistic parameter counts (DESIGN.md §13).
-// The encoding is negotiated per connection via the Hello version, so v2
-// JSON-only peers interoperate: WriteVersion only emits binary bodies
-// when the negotiated version is >= 3, and the binary marker byte cannot
-// begin a JSON value, so a mis-delivered binary frame fails cleanly in a
-// v2 decoder.
+// The two bulk messages, Broadcast and Upload, always travel as binary
+// bodies: raw little-endian float64 payloads, about 2.5x smaller than
+// their decimal-text JSON form and bit-exact for every IEEE 754 value
+// (DESIGN.md §13). With tracing on they carry the round span context in
+// two context-bearing binary kinds (DESIGN.md §15). Every other message
+// is a control message and travels as a JSON envelope, which keeps the
+// handshake debuggable. Read rejects a bulk message with a JSON body, and
+// Write refuses a bulk message the binary layout cannot carry, so each
+// message has exactly one encoding on the wire.
 //
-// Protocol revision 4 adds trace-context propagation (DESIGN.md §15):
-// Hello/Setup establish the session trace and exchange the handshake
-// clock readings used for offset estimation, and Broadcast/Upload carry
-// the round span context. All context fields are optional — absent with
-// tracing off, ignored by older peers (unknown JSON keys) — so the
-// tracing-off wire is byte-identical to revision 3. Bulk messages WITH
-// context use two new binary kinds (3, 4) emitted only at negotiated
-// version >= 4; at version 3 a context-bearing bulk message falls back
-// to JSON, which preserves the context for a v4 peer while a v2/v3 peer
-// simply skips the unknown keys.
-//
-// Protocol revision 5 is the fleet revision (DESIGN.md §16): Hello gains
-// an optional session ID so one listener can route connections to many
-// concurrent FL sessions, Admission lets a fleet answer a handshake with
-// an explicit queue/reject decision before any Setup exists, and Gather
-// lets an edge relay combine its shard's uploads into one upstream frame
-// (binary kind 5 for context-free payloads). All three degrade liberally:
-// a v<=4 peer never receives Admission or Gather (rejections fall back to
-// Error, gathering stays off on its legs) and its Hello simply lacks a
-// session ID, which routes it to the fleet's default session.
+// The fleet messages (DESIGN.md §16) are Hello.SessionID, which routes a
+// connection to one of many concurrent FL sessions behind one listener,
+// and Admission, which answers a handshake with an explicit queue or
+// reject decision before any Setup exists.
 package protocol
 
 import (
@@ -55,19 +38,10 @@ import (
 	"math"
 )
 
-// Version is the protocol revision carried in Hello messages. Revision 2
-// added the per-frame CRC-32 to the framing; revision 3 adds the binary
-// body encoding for Broadcast and Upload; revision 4 adds trace-context
-// propagation (binary kinds 3/4 and the optional JSON context fields);
-// revision 5 adds the fleet messages (session routing, Admission,
-// Gather).
-const Version = 5
-
-// FleetVersion is the first revision that understands the fleet
-// messages: Hello.SessionID routing, Admission handshake answers, and
-// relay Gather frames. Senders gate all three on the peer's negotiated
-// version being at least this.
-const FleetVersion = 5
+// Version is the protocol revision carried in Hello and Setup. Both ends
+// must speak exactly this revision: a fusion centre refuses a Hello that
+// announces any other, and a vehicle refuses a Setup that does.
+const Version = 6
 
 // ErrCorruptFrame reports a frame whose body failed its CRC-32 check. The
 // frame has been fully consumed when Read returns it, so the connection
@@ -87,7 +61,6 @@ type Message struct {
 	Setup     *Setup     `json:"setup,omitempty"`
 	Broadcast *Broadcast `json:"broadcast,omitempty"`
 	Upload    *Upload    `json:"upload,omitempty"`
-	Gather    *Gather    `json:"gather,omitempty"`
 	Admission *Admission `json:"admission,omitempty"`
 	Finished  *Finished  `json:"finished,omitempty"`
 	Error     *Error     `json:"error,omitempty"`
@@ -95,7 +68,7 @@ type Message struct {
 
 // Hello opens a connection: the vehicle announces itself.
 type Hello struct {
-	// Version is the sender's protocol revision.
+	// Version is the sender's protocol revision; it must equal Version.
 	Version int `json:"version"`
 	// VehicleID identifies the vehicle (assigned out of band).
 	VehicleID int `json:"vehicle_id"`
@@ -105,9 +78,8 @@ type Hello struct {
 	// vehicle runs untraced.
 	TraceID string `json:"trace_id,omitempty"`
 	// SessionID names the FL session this connection joins on a
-	// multi-session fleet (revision 5). Empty — including every hello
-	// from a v<=4 build, which has no such field — selects the fleet's
-	// default session; a single-session fusion centre ignores it.
+	// multi-session fleet. Empty selects the fleet's default session; a
+	// single-session fusion centre ignores it.
 	SessionID string `json:"session_id,omitempty"`
 }
 
@@ -131,11 +103,11 @@ type Setup struct {
 	SchemeBatches  int   `json:"scheme_batches"`
 	SchemeDegree   int   `json:"scheme_degree"`
 	SchemeSeed     int64 `json:"scheme_seed"`
-	// WireVersion is the protocol revision the fusion centre negotiated
-	// for this connection: min(its own Version, the vehicle's Hello
-	// version). Absent (0) means revision 2, the JSON-only encoding —
-	// which is also how a revision-2 fusion centre, ignorant of the
-	// field, is correctly interpreted.
+	// WireVersion is the fusion centre's protocol revision. It always
+	// carries Version, and a vehicle refuses a Setup with any other
+	// value. It stays on the wire so a pass-through observer that sees
+	// only the connection's messages can read the revision its bulk
+	// frames were encoded at.
 	WireVersion int `json:"wire_version,omitempty"`
 	// TraceID is the session trace every process joins (derived from
 	// SchemeSeed on both sides; carried explicitly so a vehicle adopts
@@ -180,26 +152,10 @@ type Upload struct {
 	SpanID  string `json:"span_id,omitempty"`
 }
 
-// Gather is an edge relay's combined upstream frame (revision 5): the
-// uploads of several vehicles in the relay's shard, gathered into one
-// frame so the fusion centre pays one read per shard burst instead of
-// one per vehicle. Each inner upload is byte-equivalent to the frame the
-// vehicle sent — round, sender and trace context included — so the
-// fusion centre processes a gathered upload exactly like a direct one.
-// Relays only emit Gather on connections whose negotiated version is
-// >= FleetVersion; on older legs they stay transparent pipes.
-type Gather struct {
-	// Uploads holds the combined shard contributions, in the order the
-	// relay absorbed them.
-	Uploads []Upload `json:"uploads"`
-}
-
-// Admission answers a Hello on a fleet-scale fusion centre (revision 5)
-// when Setup cannot follow immediately: the connection was queued behind
-// the fleet's connection budget, or rejected outright. Acceptance is
-// implied by Setup itself, so an admitted vehicle never waits on an
-// extra frame. A v<=4 peer never sees Admission — rejections fall back
-// to the Error message it already understands.
+// Admission answers a Hello on a fleet-scale fusion centre when Setup
+// cannot follow immediately: the connection was queued behind the fleet's
+// connection budget, or rejected outright. Acceptance is implied by Setup
+// itself, so an admitted vehicle never waits on an extra frame.
 type Admission struct {
 	// Queued reports the connection is parked in the fleet's admission
 	// queue; the vehicle should keep waiting for Setup.
@@ -245,10 +201,18 @@ func (m *Message) TraceContext() (trace, span string) {
 	return "", ""
 }
 
-// EncodedSize returns the exact on-wire size of the message in bytes
-// (4-byte length prefix plus JSON body), or 0 when it cannot marshal.
-// The instrumented transport uses it to account bytes per connection.
+// EncodedSize returns the on-wire size of the message in bytes: the
+// 4-byte length prefix plus the body Write would emit (the CRC word is
+// not counted), or 0 when Write would refuse the message. A bulk message
+// is sized by arithmetic, without encoding it. The instrumented transport
+// uses it to account bytes per connection.
 func EncodedSize(m *Message) int {
+	if m.bulk() {
+		if binaryError(m) != nil {
+			return 0
+		}
+		return 4 + binaryBodyLen(m)
+	}
 	body, err := json.Marshal(m)
 	if err != nil {
 		return 0
@@ -256,15 +220,15 @@ func EncodedSize(m *Message) int {
 	return 4 + len(body)
 }
 
-// EncodedSizeVersion is EncodedSize under a negotiated protocol version:
-// for messages WriteVersion would emit in binary form the size is pure
-// arithmetic (no marshalling), otherwise it defers to EncodedSize.
-func EncodedSizeVersion(m *Message, version int) int {
-	if !binaryEligible(m, version) {
-		return EncodedSize(m)
-	}
-	return 4 + binaryBodyLen(m)
-}
+// EncodedSizeVersion is EncodedSize; the revision argument is ignored
+// because only one revision exists. It is kept for callers that size
+// frames at the revision a Setup announced, such as the pass-through
+// connection taps of the perfbench harness, which is built against this
+// package and must keep compiling unchanged.
+func EncodedSizeVersion(m *Message, _ int) int { return EncodedSize(m) }
+
+// bulk reports whether m is one of the binary-bodied messages.
+func (m *Message) bulk() bool { return m.Broadcast != nil || m.Upload != nil }
 
 // kind returns the message discriminator for validation and errors.
 func (m *Message) kind() string {
@@ -277,8 +241,6 @@ func (m *Message) kind() string {
 		return "broadcast"
 	case m.Upload != nil:
 		return "upload"
-	case m.Gather != nil:
-		return "gather"
 	case m.Admission != nil:
 		return "admission"
 	case m.Finished != nil:
@@ -294,7 +256,7 @@ func (m *Message) Validate() error {
 	count := 0
 	for _, set := range []bool{
 		m.Hello != nil, m.Setup != nil, m.Broadcast != nil,
-		m.Upload != nil, m.Gather != nil, m.Admission != nil,
+		m.Upload != nil, m.Admission != nil,
 		m.Finished != nil, m.Error != nil,
 	} {
 		if set {
@@ -310,110 +272,64 @@ func (m *Message) Validate() error {
 // headerLen is the frame header size: 4-byte length + 4-byte CRC-32.
 const headerLen = 8
 
-// Binary body encoding (protocol revision 3, DESIGN.md §13). The body
-// replaces the JSON envelope inside the unchanged length+CRC frame:
+// Binary body encoding of the bulk messages (DESIGN.md §13). The body
+// sits inside the usual length+CRC frame:
 //
 //	byte 0: binaryMagic (0xB3)
-//	byte 1: kind (1 = broadcast, 2 = upload)
-//	broadcast: round u32 LE, count u32 LE, count x 8-byte LE float64 bits
-//	upload:    round u32 LE, vehicle u32 LE, count u32 LE, count x 8 bytes
+//	byte 1: kind
+//	1 broadcast:     round u32 LE, count u32 LE, count x 8-byte LE float64 bits
+//	2 upload:        round u32 LE, vehicle u32 LE, count u32 LE, count x 8 bytes
+//	3 broadcast+ctx: trace u64 LE, span u64 LE, then the broadcast layout
+//	4 upload+ctx:    trace u64 LE, span u64 LE, then the upload layout
 //
-// 0xB3 cannot open a JSON value, so a v2 decoder handed a binary frame
-// fails with an ordinary unmarshal error — never a panic, never a
-// misparse — and the stream stays in sync (the frame was length-consumed).
-// Floats travel as IEEE 754 bit patterns, bit-exact round trips included
-// for NaN payloads that JSON cannot represent at all.
+// 0xB3 cannot open a JSON value, so the first body byte tells the two
+// encodings apart. Floats travel as IEEE 754 bit patterns, bit-exact
+// round trips included for NaN payloads that JSON cannot represent at
+// all. The context kinds carry the trace and span IDs of DESIGN.md §15;
+// a context kind with either ID zero is rejected, so every accepted frame
+// re-encodes to identical bytes.
 const binaryMagic = 0xB3
 
-// Revision 4 adds context-bearing variants of the two bulk kinds
-// (DESIGN.md §15): the same layout prefixed with the trace and span IDs
-// as little-endian u64. A context kind with either ID zero is rejected —
-// partial context never rides the binary path, so every accepted frame
-// re-encodes to identical bytes.
-//
-//	broadcast+ctx: trace u64 LE, span u64 LE, round u32, count u32, floats
-//	upload+ctx:    trace u64 LE, span u64 LE, round u32, vehicle u32, count u32, floats
-//
-// Revision 5 adds the gather kind: a shard's context-free uploads packed
-// back to back. Context-bearing gathers fall back to JSON — the traced
-// path is diagnostic, not hot — so the binary layout stays flat:
-//
-//	gather: count u32, then per upload: round u32, vehicle u32, n u32,
-//	        n x 8-byte LE float64 bits
 const (
 	binaryKindBroadcast    = 1
 	binaryKindUpload       = 2
 	binaryKindBroadcastCtx = 3
 	binaryKindUploadCtx    = 4
-	binaryKindGather       = 5
 )
 
 // maxBinaryValues caps the float count so a binary body respects
 // MaxMessageSize even under the largest (upload+ctx) header.
 const maxBinaryValues = (MaxMessageSize - 30) / 8
 
-// binaryEligible reports whether WriteVersion encodes m as a binary body
-// under the given negotiated version: bulk messages only, with integer
-// fields that fit the fixed-width wire layout (anything else falls back
-// to JSON, which both sides always accept). Trace context additionally
-// requires version >= 4 and a canonical, complete (trace, span) pair —
-// non-canonical IDs fall back to JSON, which round-trips any string
-// byte-for-byte instead of silently rewriting it.
-func binaryEligible(m *Message, version int) bool {
-	if version < 3 {
-		return false
+// binaryError reports why the binary layout cannot carry the bulk
+// message m, or nil when it can: the integer fields must fit their
+// fixed-width slots, the payload must respect MaxMessageSize, and trace
+// context must be absent or a complete pair of canonical nonzero IDs.
+func binaryError(m *Message) error {
+	var round, vehicle, n int
+	var trace, span string
+	if b := m.Broadcast; b != nil {
+		round, n, trace, span = b.Round, len(b.Params), b.TraceID, b.SpanID
+	} else {
+		u := m.Upload
+		round, vehicle, n, trace, span = u.Round, u.VehicleID, len(u.Values), u.TraceID, u.SpanID
 	}
 	switch {
-	case m.Broadcast != nil:
-		b := m.Broadcast
-		if !fitsUint32(b.Round) || len(b.Params) > maxBinaryValues {
-			return false
-		}
-		return ctxEligible(b.TraceID, b.SpanID, version)
-	case m.Upload != nil:
-		u := m.Upload
-		if !fitsUint32(u.Round) || !fitsUint32(u.VehicleID) || len(u.Values) > maxBinaryValues {
-			return false
-		}
-		return ctxEligible(u.TraceID, u.SpanID, version)
-	case m.Gather != nil:
-		if version < FleetVersion || len(m.Gather.Uploads) == 0 {
-			return false
-		}
-		size := 6 // magic, kind, count u32
-		for i := range m.Gather.Uploads {
-			u := &m.Gather.Uploads[i]
-			// Any trace context sends the whole gather to JSON: the
-			// binary layout has no per-upload context slot.
-			if u.TraceID != "" || u.SpanID != "" {
-				return false
-			}
-			if !fitsUint32(u.Round) || !fitsUint32(u.VehicleID) {
-				return false
-			}
-			size += 12 + 8*len(u.Values)
-			if size > MaxMessageSize {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// ctxEligible reports whether a (trace, span) pair fits a binary body at
-// the negotiated version: absent entirely (the pre-v4 kinds), or — at
-// version >= 4 — a complete pair of canonical nonzero IDs.
-func ctxEligible(trace, span string, version int) bool {
-	if trace == "" && span == "" {
-		return true
-	}
-	if version < 4 {
-		return false
+	case !fitsUint32(round):
+		return fmt.Errorf("protocol: %s round %d does not fit the binary layout", m.kind(), round)
+	case !fitsUint32(vehicle):
+		return fmt.Errorf("protocol: %s vehicle ID %d does not fit the binary layout", m.kind(), vehicle)
+	case n > maxBinaryValues:
+		return fmt.Errorf("protocol: %s of %d values exceeds the size limit", m.kind(), n)
+	case trace == "" && span == "":
+		return nil
 	}
 	t, okT := canonicalID(trace)
-	s, okS := canonicalID(span)
-	return okT && okS && t != 0 && s != 0
+	sp, okS := canonicalID(span)
+	if !okT || !okS || t == 0 || sp == 0 {
+		return fmt.Errorf("protocol: %s trace context (%q, %q) is not a canonical nonzero ID pair", m.kind(), trace, span)
+	}
+	return nil
 }
 
 // canonicalID parses an ID in canonical wire form — exactly 16 lowercase
@@ -454,19 +370,12 @@ func formatID16(id uint64) string {
 
 func fitsUint32(v int) bool { return v >= 0 && int64(v) <= math.MaxUint32 }
 
-// binaryBodyLen returns the body length of a binary-eligible message.
+// binaryBodyLen returns the body length of an encodable bulk message.
 func binaryBodyLen(m *Message) int {
 	if b := m.Broadcast; b != nil {
 		n := 10 + 8*len(b.Params)
 		if b.TraceID != "" {
 			n += 16
-		}
-		return n
-	}
-	if g := m.Gather; g != nil {
-		n := 6
-		for i := range g.Uploads {
-			n += 12 + 8*len(g.Uploads[i].Values)
 		}
 		return n
 	}
@@ -478,7 +387,7 @@ func binaryBodyLen(m *Message) int {
 	return n
 }
 
-// appendBinary encodes a binary-eligible message into dst.
+// appendBinary encodes an encodable bulk message into dst.
 func appendBinary(dst []byte, m *Message) []byte {
 	if b := m.Broadcast; b != nil {
 		if b.TraceID == "" {
@@ -494,20 +403,6 @@ func appendBinary(dst []byte, m *Message) []byte {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Params)))
 		for _, v := range b.Params {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-		return dst
-	}
-	if g := m.Gather; g != nil {
-		dst = append(dst, binaryMagic, binaryKindGather)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(g.Uploads)))
-		for i := range g.Uploads {
-			u := &g.Uploads[i]
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(u.Round))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(u.VehicleID))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(u.Values)))
-			for _, v := range u.Values {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-			}
 		}
 		return dst
 	}
@@ -551,9 +446,9 @@ func parseBinary(body []byte) (*Message, error) {
 		return v
 	}
 	// readCtx consumes the trace/span prefix of a context kind. Partial
-	// or zero context is a frame-local error: only complete contexts ride
-	// the binary path (see ctxEligible), so every accepted frame
-	// re-encodes to identical bytes.
+	// or zero context is a frame-local error: Write only emits complete
+	// contexts (see binaryError), so every accepted frame re-encodes to
+	// identical bytes.
 	readCtx := func(kindName string) (trace, span uint64, err error) {
 		trace = readU64()
 		span = readU64()
@@ -610,34 +505,6 @@ func parseBinary(body []byte) (*Message, error) {
 		}
 		up.Values = readFloats(rest, int(count))
 		return &Message{Upload: up}, nil
-	case binaryKindGather:
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("protocol: binary gather header truncated (%d bytes)", len(rest))
-		}
-		count := readU32()
-		if count == 0 || count > MaxMessageSize/12 {
-			return nil, fmt.Errorf("protocol: binary gather declares %d uploads", count)
-		}
-		g := &Gather{Uploads: make([]Upload, 0, count)}
-		for i := uint32(0); i < count; i++ {
-			if len(rest) < 12 {
-				return nil, fmt.Errorf("protocol: binary gather upload %d truncated (%d bytes)", i, len(rest))
-			}
-			var u Upload
-			u.Round = int(readU32())
-			u.VehicleID = int(readU32())
-			n := readU32()
-			if n > maxBinaryValues || len(rest) < 8*int(n) {
-				return nil, fmt.Errorf("protocol: binary gather upload %d declares %d values in %d payload bytes", i, n, len(rest))
-			}
-			u.Values = readFloats(rest, int(n))
-			rest = rest[8*int(n):]
-			g.Uploads = append(g.Uploads, u)
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("protocol: binary gather leaves %d trailing bytes", len(rest))
-		}
-		return &Message{Gather: g}, nil
 	}
 	return nil, fmt.Errorf("protocol: unknown binary message kind %d", kind)
 }
@@ -653,37 +520,12 @@ func readFloats(b []byte, count int) []float64 {
 	return out
 }
 
-// Write frames and writes one message in JSON form — the encoding every
-// protocol revision accepts.
+// Write frames and writes one message: Broadcast and Upload as binary
+// bodies, every other message as JSON. A bulk message the binary layout
+// cannot carry (see binaryError) is refused rather than sent in another
+// encoding.
 func Write(w io.Writer, m *Message) error {
 	return writeFrame(w, m, 0)
-}
-
-// WriteVersion frames and writes one message under a negotiated protocol
-// version: bulk messages (Broadcast, Upload) go out as binary bodies
-// when the peer negotiated version >= 3, everything else (and every
-// message to an older peer) as JSON.
-func WriteVersion(w io.Writer, m *Message, version int) error {
-	if !binaryEligible(m, version) {
-		return writeFrame(w, m, 0)
-	}
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	body := appendBinary(make([]byte, 0, binaryBodyLen(m)), m)
-	if len(body) > MaxMessageSize {
-		return fmt.Errorf("protocol: %s message of %d bytes exceeds limit", m.kind(), len(body))
-	}
-	var header [headerLen]byte
-	binary.BigEndian.PutUint32(header[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(header[4:], crc32.ChecksumIEEE(body))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("protocol: write header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("protocol: write body: %w", err)
-	}
-	return nil
 }
 
 // WriteCorrupt frames and writes one message with a deliberately wrong
@@ -695,18 +537,33 @@ func WriteCorrupt(w io.Writer, m *Message) error {
 	return writeFrame(w, m, 1)
 }
 
-// writeFrame marshals, frames, and writes m; crcFlip is XORed into the
-// checksum (0 for an honest frame).
-func writeFrame(w io.Writer, m *Message, crcFlip uint32) error {
+// encodeBody returns the body Write emits for m.
+func encodeBody(m *Message) ([]byte, error) {
 	if err := m.Validate(); err != nil {
-		return err
+		return nil, err
+	}
+	if m.bulk() {
+		if err := binaryError(m); err != nil {
+			return nil, err
+		}
+		return appendBinary(make([]byte, 0, binaryBodyLen(m)), m), nil
 	}
 	body, err := json.Marshal(m)
 	if err != nil {
-		return fmt.Errorf("protocol: marshal %s: %w", m.kind(), err)
+		return nil, fmt.Errorf("protocol: marshal %s: %w", m.kind(), err)
 	}
 	if len(body) > MaxMessageSize {
-		return fmt.Errorf("protocol: %s message of %d bytes exceeds limit", m.kind(), len(body))
+		return nil, fmt.Errorf("protocol: %s message of %d bytes exceeds limit", m.kind(), len(body))
+	}
+	return body, nil
+}
+
+// writeFrame encodes, frames, and writes m; crcFlip is XORed into the
+// checksum (0 for an honest frame).
+func writeFrame(w io.Writer, m *Message, crcFlip uint32) error {
+	body, err := encodeBody(m)
+	if err != nil {
+		return err
 	}
 	var header [headerLen]byte
 	binary.BigEndian.PutUint32(header[:4], uint32(len(body)))
@@ -720,19 +577,12 @@ func writeFrame(w io.Writer, m *Message, crcFlip uint32) error {
 	return nil
 }
 
-// Read reads and validates one framed message, accepting every body
-// encoding the current protocol revision knows. A checksum mismatch
+// Read reads and validates one framed message. A checksum mismatch
 // returns an error wrapping ErrCorruptFrame with the frame fully
-// consumed, so the caller may continue reading the stream.
+// consumed, so the caller may continue reading the stream; a body that
+// fails to parse, including a bulk message with a JSON body, is likewise
+// a frame-local error.
 func Read(r io.Reader) (*Message, error) {
-	return ReadVersion(r, Version)
-}
-
-// ReadVersion is Read restricted to the body encodings of the given
-// protocol version: a v2 reader handed a v3 binary frame returns a
-// frame-local error (the frame is fully consumed, the stream stays in
-// sync) instead of attempting to parse it.
-func ReadVersion(r io.Reader, version int) (*Message, error) {
 	var header [headerLen]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown
@@ -749,25 +599,24 @@ func ReadVersion(r io.Reader, version int) (*Message, error) {
 	if got := crc32.ChecksumIEEE(body); got != sum {
 		return nil, fmt.Errorf("%w: %d-byte frame, checksum %08x want %08x", ErrCorruptFrame, size, got, sum)
 	}
+	var m *Message
 	if len(body) > 0 && body[0] == binaryMagic {
-		if version < 3 {
-			return nil, fmt.Errorf("protocol: binary frame not supported at negotiated version %d", version)
-		}
-		m, err := parseBinary(body)
+		parsed, err := parseBinary(body)
 		if err != nil {
 			return nil, err
 		}
-		if err := m.Validate(); err != nil {
-			return nil, err
+		m = parsed
+	} else {
+		m = &Message{}
+		if err := json.Unmarshal(body, m); err != nil {
+			return nil, fmt.Errorf("protocol: unmarshal: %w", err)
 		}
-		return m, nil
-	}
-	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, fmt.Errorf("protocol: unmarshal: %w", err)
+		if m.bulk() {
+			return nil, fmt.Errorf("protocol: %s message with a JSON body; bulk messages are binary", m.kind())
+		}
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
 }

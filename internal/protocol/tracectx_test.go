@@ -9,13 +9,12 @@ import (
 	"testing"
 )
 
-// reframe wraps a raw body in a valid length+CRC frame.
-func reframe(t *testing.T, body []byte) []byte {
-	t.Helper()
-	frame := make([]byte, headerLen, headerLen+len(body))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-	return append(frame, body...)
+// frame wraps a raw body in a valid length+CRC frame.
+func frame(body []byte) []byte {
+	f := make([]byte, headerLen, headerLen+len(body))
+	binary.BigEndian.PutUint32(f[:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(f[4:8], crc32.ChecksumIEEE(body))
+	return append(f, body...)
 }
 
 const (
@@ -23,8 +22,8 @@ const (
 	testSpan  = "00000000cafef00d"
 )
 
-// TestCtxBinaryRoundTrip: at the negotiated v4 encoding, context-bearing
-// bulk messages ride the new binary kinds and round-trip exactly.
+// TestCtxBinaryRoundTrip: context-bearing bulk messages ride the context
+// binary kinds and round-trip exactly.
 func TestCtxBinaryRoundTrip(t *testing.T) {
 	msgs := []*Message{
 		{Broadcast: &Broadcast{Round: 3, Params: []float64{1.5, -2.25},
@@ -34,12 +33,12 @@ func TestCtxBinaryRoundTrip(t *testing.T) {
 	}
 	for _, m := range msgs {
 		var buf bytes.Buffer
-		if err := WriteVersion(&buf, m, Version); err != nil {
+		if err := Write(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 		body := buf.Bytes()[headerLen:]
 		if body[0] != binaryMagic {
-			t.Fatalf("%s with ctx should encode binary at v%d, got body %q", m.Kind(), Version, body)
+			t.Fatalf("%s with ctx should encode binary, got body %q", m.Kind(), body)
 		}
 		if k := body[1]; k != binaryKindBroadcastCtx && k != binaryKindUploadCtx {
 			t.Fatalf("%s with ctx used kind %d, want a ctx kind", m.Kind(), k)
@@ -56,61 +55,55 @@ func TestCtxBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCtxFallsBackToJSONAtV3: a v3 peer does not know the ctx kinds, so
-// a context-bearing bulk message must go out as JSON — preserving the
-// context for a v4 reader while a v3/v2 reader skips the unknown keys.
-func TestCtxFallsBackToJSONAtV3(t *testing.T) {
-	m := &Message{Upload: &Upload{Round: 1, VehicleID: 2, Values: []float64{4},
-		TraceID: testTrace, SpanID: testSpan}}
-	var buf bytes.Buffer
-	if err := WriteVersion(&buf, m, 3); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.Bytes()[headerLen:]
-	if body[0] == binaryMagic {
-		t.Fatalf("ctx upload must fall back to JSON at v3, got binary kind %d", body[1])
-	}
-	if !strings.Contains(string(body), testTrace) {
-		t.Fatalf("JSON fallback dropped the trace ID: %s", body)
-	}
-	got, err := ReadVersion(bytes.NewReader(buf.Bytes()), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Upload.TraceID != testTrace || got.Upload.SpanID != testSpan {
-		t.Fatalf("context lost through the JSON fallback: %+v", got.Upload)
-	}
-}
-
 // TestCtxAbsentKeepsV3WireBytes: with tracing off no context fields are
-// set, and the v4 encoder must produce byte-identical frames to the v3
-// encoder — propagation can never tax an untraced session.
+// set, so bulk frames use the context-free kinds 1/2 — exactly 16 bytes
+// shorter than the same message with context — and control frames carry
+// no trace keys: propagation can never tax an untraced session.
 func TestCtxAbsentKeepsV3WireBytes(t *testing.T) {
-	msgs := []*Message{
+	bulk := []*Message{
 		{Broadcast: &Broadcast{Round: 2, Params: []float64{0.5, 1, 2}}},
 		{Upload: &Upload{Round: 2, VehicleID: 4, Values: []float64{7}}},
-		{Hello: &Hello{Version: Version, VehicleID: 4}},
-		{Setup: &Setup{InputSize: 3, SchemeVehicles: 4, SchemeSeed: 9, WireVersion: 3}},
 	}
-	for _, m := range msgs {
-		var v3, v4 bytes.Buffer
-		if err := WriteVersion(&v3, m, 3); err != nil {
+	for _, m := range bulk {
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteVersion(&v4, m, 4); err != nil {
+		if k := buf.Bytes()[headerLen+1]; k != binaryKindBroadcast && k != binaryKindUpload {
+			t.Fatalf("ctx-free %s used kind %d", m.Kind(), k)
+		}
+		var withCtx Message
+		if m.Broadcast != nil {
+			b := *m.Broadcast
+			b.TraceID, b.SpanID = testTrace, testSpan
+			withCtx.Broadcast = &b
+		} else {
+			u := *m.Upload
+			u.TraceID, u.SpanID = testTrace, testSpan
+			withCtx.Upload = &u
+		}
+		if d := EncodedSize(&withCtx) - EncodedSize(m); d != 16 {
+			t.Fatalf("context costs %s %d bytes, want 16", m.Kind(), d)
+		}
+	}
+	for _, m := range []*Message{
+		{Hello: &Hello{Version: Version, VehicleID: 4}},
+		{Setup: &Setup{InputSize: 3, SchemeVehicles: 4, SchemeSeed: 9, WireVersion: Version}},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(v3.Bytes(), v4.Bytes()) {
-			t.Fatalf("ctx-free %s differs between v3 and v4 encodings:\nv3: %x\nv4: %x",
-				m.Kind(), v3.Bytes(), v4.Bytes())
+		if strings.Contains(buf.String(), "trace_id") {
+			t.Fatalf("untraced %s carries a trace key: %s", m.Kind(), buf.Bytes()[headerLen:])
 		}
 	}
 }
 
-// TestCtxNonCanonicalFallsBackToJSON: only canonical 16-digit lowercase
-// hex IDs ride the fixed-width binary layout; anything else must take
-// the JSON path so the string round-trips byte-for-byte.
-func TestCtxNonCanonicalFallsBackToJSON(t *testing.T) {
+// TestCtxNonCanonicalRefused: only canonical 16-digit lowercase hex IDs
+// fit the fixed-width binary layout, and bulk messages have no other
+// encoding, so Write refuses anything else instead of rewriting it.
+func TestCtxNonCanonicalRefused(t *testing.T) {
 	for _, ctx := range []struct{ trace, span string }{
 		{"abc", "def"},                         // short
 		{strings.ToUpper(testTrace), testSpan}, // uppercase
@@ -120,18 +113,11 @@ func TestCtxNonCanonicalFallsBackToJSON(t *testing.T) {
 		m := &Message{Broadcast: &Broadcast{Round: 1, Params: []float64{1},
 			TraceID: ctx.trace, SpanID: ctx.span}}
 		var buf bytes.Buffer
-		if err := WriteVersion(&buf, m, Version); err != nil {
-			t.Fatal(err)
+		if err := Write(&buf, m); err == nil {
+			t.Fatalf("non-canonical ctx %+v was written", ctx)
 		}
-		if buf.Bytes()[headerLen] == binaryMagic {
-			t.Fatalf("non-canonical ctx %+v must not ride the binary path", ctx)
-		}
-		got, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Broadcast.TraceID != ctx.trace || got.Broadcast.SpanID != ctx.span {
-			t.Fatalf("non-canonical ctx rewritten: sent %+v got %+v", ctx, got.Broadcast)
+		if buf.Len() != 0 {
+			t.Fatalf("refused ctx %+v left %d bytes on the writer", ctx, buf.Len())
 		}
 	}
 }
@@ -143,16 +129,15 @@ func TestCtxBinaryRejectsZeroIDs(t *testing.T) {
 	m := &Message{Broadcast: &Broadcast{Round: 1, Params: []float64{1},
 		TraceID: testTrace, SpanID: testSpan}}
 	var buf bytes.Buffer
-	if err := WriteVersion(&buf, m, Version); err != nil {
+	if err := Write(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	frame := buf.Bytes()
 	// Zero out the span ID (bytes 10..18 of the body) and re-checksum.
-	body := append([]byte(nil), frame[headerLen:]...)
+	body := append([]byte(nil), buf.Bytes()[headerLen:]...)
 	for i := 10; i < 18; i++ {
 		body[i] = 0
 	}
-	reframed := reframe(t, body)
+	reframed := frame(body)
 	if _, err := Read(bytes.NewReader(reframed)); err == nil {
 		t.Fatal("ctx frame with zero span ID must be rejected")
 	}

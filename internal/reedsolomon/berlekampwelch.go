@@ -2,12 +2,8 @@ package reedsolomon
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/field"
-	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/poly"
 )
 
@@ -24,36 +20,10 @@ import (
 //
 // The linear system is solved by Gaussian elimination over GF(p); when it
 // is singular the actual error count is below the attempted E and the
-// decoder retries with a smaller budget.
+// decoder retries with a smaller budget. The scan runs from the largest
+// budget down and returns the first attempt that succeeds and verifies.
+// Only tests call it; the production decoders are Decode and DecodeBatch.
 func DecodeBW(xs, ys []field.Element, k int) (*Result, error) {
-	return DecodeBWParallel(xs, ys, k, 1)
-}
-
-// DecodeBWParallel is DecodeBW with its per-error-count bwAttempt
-// Gaussian eliminations raced across a bounded worker pool. The
-// sequential search scans e from MaxErrors down to 0 and returns the
-// first budget whose attempt succeeds and verifies; the parallel search
-// runs the independent attempts concurrently and selects the HIGHEST
-// passing budget, which is exactly the budget that descending scan would
-// have stopped at — so the returned Result is bit-identical to the
-// sequential one at any worker count (see DESIGN.md "Parallel execution
-// engine"). Attempts for budgets below an already-confirmed success are
-// skipped as they can no longer affect the answer.
-//
-// workers < 1 selects GOMAXPROCS; workers == 1 runs the pre-pool
-// sequential scan with its early exit.
-func DecodeBWParallel(xs, ys []field.Element, k, workers int) (*Result, error) {
-	return DecodeBWObs(xs, ys, k, workers, nil)
-}
-
-// DecodeBWObs is DecodeBWParallel with observability attached: every
-// error-budget attempt increments rs.bw.attempts (rs.bw.wins on success)
-// and, with tracing on, emits an rs.bw_attempt event carrying the budget
-// and outcome. With a nil handle it is exactly DecodeBWParallel. Note
-// that in the racing configuration (workers > 1) attempt events are
-// emitted from pool goroutines, so their ORDER in the trace follows the
-// scheduler; the racing outcome itself stays bit-identical (see above).
-func DecodeBWObs(xs, ys []field.Element, k, workers int, o *obs.Obs) (*Result, error) {
 	n := len(xs)
 	if len(ys) != n {
 		return nil, fmt.Errorf("reedsolomon: %d points but %d values", n, len(ys))
@@ -68,62 +38,9 @@ func DecodeBWObs(xs, ys []field.Element, k, workers int, o *obs.Obs) (*Result, e
 		return nil, fmt.Errorf("reedsolomon: evaluation points must be distinct")
 	}
 	maxE := MaxErrors(n, k)
-	workers = parallel.Workers(workers)
-	// Resolve the counters once per call; the per-attempt loop then pays
-	// one atomic add, not a registry lookup.
-	var cAttempts, cWins *obs.Counter
-	if o.Enabled() {
-		cAttempts = o.Counter("rs.bw.attempts")
-		cWins = o.Counter("rs.bw.wins")
-	}
-	attempt := func(e int) *Result {
-		res := bwVerifiedAttempt(xs, ys, k, e, maxE)
-		if o.Enabled() {
-			cAttempts.Inc()
-			if res != nil {
-				cWins.Inc()
-			}
-			if o.TraceEnabled() {
-				o.Emit("rs.bw_attempt", obs.F("budget", e), obs.F("ok", res != nil))
-			}
-		}
-		return res
-	}
-	if workers == 1 {
-		for e := maxE; e >= 0; e-- {
-			if res := attempt(e); res != nil {
-				return res, nil
-			}
-		}
-		return nil, ErrTooManyErrors
-	}
-
-	// Race every budget. Task t attempts e = maxE - t, so the pool claims
-	// high budgets (the ones the sequential scan tries first) earliest.
-	// best tracks the highest budget confirmed so far: once budget e
-	// succeeds, tasks for e' < e are skipped — their outcome cannot win.
-	results := make([]*Result, maxE+1)
-	var best atomic.Int64
-	best.Store(-1)
-	_ = parallel.ForEach(workers, maxE+1, func(t int) error {
-		e := maxE - t
-		if int64(e) <= best.Load() {
-			return nil
-		}
-		if res := attempt(e); res != nil {
-			results[e] = res
-			for {
-				cur := best.Load()
-				if int64(e) <= cur || best.CompareAndSwap(cur, int64(e)) {
-					break
-				}
-			}
-		}
-		return nil
-	})
 	for e := maxE; e >= 0; e-- {
-		if results[e] != nil {
-			return results[e], nil
+		if res := bwVerifiedAttempt(xs, ys, k, e, maxE); res != nil {
+			return res, nil
 		}
 	}
 	return nil, ErrTooManyErrors
@@ -149,37 +66,6 @@ func bwVerifiedAttempt(xs, ys []field.Element, k, e, maxE int) *Result {
 	return &Result{Poly: f, ErrorPositions: errPos}
 }
 
-// bwScratch holds the augmented-matrix storage of one bwAttempt. The
-// racing budget search runs many attempts (across budgets and across
-// goroutines); pooling the matrix turns an O(n·cols) allocation per
-// attempt into a near-free checkout.
-type bwScratch struct {
-	flat []field.Element
-	rows [][]field.Element
-}
-
-var bwScratchPool = sync.Pool{New: func() any { return new(bwScratch) }}
-
-// matrix returns an n×width row view over the scratch, growing the
-// backing storage as needed. Callers overwrite every cell before reading,
-// so stale values from a previous attempt never need zeroing. The rows are
-// re-sliced from the flat backing on every call, which also undoes any row
-// permutation a previous solveField left behind.
-func (s *bwScratch) matrix(n, width int) [][]field.Element {
-	if cap(s.flat) < n*width {
-		s.flat = make([]field.Element, n*width)
-	}
-	flat := s.flat[:n*width]
-	if cap(s.rows) < n {
-		s.rows = make([][]field.Element, n)
-	}
-	rows := s.rows[:n]
-	for i := range rows {
-		rows[i] = flat[i*width : (i+1)*width]
-	}
-	return rows
-}
-
 // bwAttempt solves the Berlekamp–Welch system for a fixed error budget e.
 // Unknowns: q_0..q_{k+e-1} and e_0..e_{e-1} (the locator is monic, so its
 // leading coefficient is fixed at 1). Equations, one per received point:
@@ -191,12 +77,11 @@ func bwAttempt(xs, ys []field.Element, k, e int) (poly.Poly, bool) {
 	if cols > n {
 		return nil, false
 	}
-	// Build the augmented matrix [A | b] in pooled scratch.
-	scratch := bwScratchPool.Get().(*bwScratch)
-	defer bwScratchPool.Put(scratch)
-	a := scratch.matrix(n, cols+1)
+	// Build the augmented matrix [A | b].
+	a := make([][]field.Element, n)
 	for i := 0; i < n; i++ {
-		row := a[i]
+		row := make([]field.Element, cols+1)
+		a[i] = row
 		pw := field.One
 		for j := 0; j < k+e; j++ {
 			row[j] = pw

@@ -204,59 +204,3 @@ func TestNewDecoderValidation(t *testing.T) {
 		t.Error("short word accepted")
 	}
 }
-
-// TestDecodeBWParallelMatchesSequential races the per-budget attempts at
-// several worker counts and checks the Result — polynomial AND error
-// positions — is bit-identical to the sequential descending scan, on
-// decodable and undecodable words alike.
-func TestDecodeBWParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	for trial := 0; trial < 40; trial++ {
-		n := 8 + rng.Intn(40)
-		k := 1 + rng.Intn(n/2)
-		e := rng.Intn(MaxErrors(n, k) + 3) // often beyond budget
-		_, xs, ys := randomCodeword(rng, n, k)
-		corrupt(rng, ys, min(e, n))
-		seq, seqErr := DecodeBWParallel(xs, ys, k, 1)
-		for _, workers := range []int{2, 8} {
-			par, parErr := DecodeBWParallel(xs, ys, k, workers)
-			if (seqErr == nil) != (parErr == nil) {
-				t.Fatalf("trial %d workers=%d: seq err=%v, par err=%v", trial, workers, seqErr, parErr)
-			}
-			if seqErr != nil {
-				continue
-			}
-			if !par.Poly.Equal(seq.Poly) {
-				t.Fatalf("trial %d workers=%d: polynomials differ", trial, workers)
-			}
-			if len(par.ErrorPositions) != len(seq.ErrorPositions) {
-				t.Fatalf("trial %d workers=%d: %d error positions, want %d",
-					trial, workers, len(par.ErrorPositions), len(seq.ErrorPositions))
-			}
-			for i := range par.ErrorPositions {
-				if par.ErrorPositions[i] != seq.ErrorPositions[i] {
-					t.Fatalf("trial %d workers=%d: error positions differ at %d", trial, workers, i)
-				}
-			}
-		}
-	}
-}
-
-// TestDecodeBWParallelPaperScale checks the racing path at the paper's
-// V=100, K=46, E=27 configuration.
-func TestDecodeBWParallelPaperScale(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	n, k := 100, 46
-	f, xs, ys := randomCodeword(rng, n, k)
-	corrupt(rng, ys, 27)
-	res, err := DecodeBWParallel(xs, ys, k, 0) // 0 = all cores
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Poly.Equal(f) {
-		t.Fatal("parallel decode failed to correct 27 errors at paper scale")
-	}
-	if len(res.ErrorPositions) != 27 {
-		t.Fatalf("located %d errors, want 27", len(res.ErrorPositions))
-	}
-}

@@ -45,7 +45,6 @@ func bufferedPair(t *testing.T, opts Options) (Conn, Conn) {
 // locally Pending once it has read the first.
 func TestBufferedCoalesceAndPending(t *testing.T) {
 	client, server := bufferedPair(t, Options{WriteBuffer: 64 << 10, ReadBuffer: 64 << 10})
-	SetWireVersion(client, protocol.Version)
 
 	m1 := &protocol.Message{Broadcast: &protocol.Broadcast{Round: 1, Params: []float64{1, 2, 3}}}
 	m2 := &protocol.Message{Upload: &protocol.Upload{Round: 1, VehicleID: 7, Values: []float64{4, 5}}}
@@ -82,10 +81,9 @@ func TestBufferedCoalesceAndPending(t *testing.T) {
 // TestUnbufferedOptionalFaces pins the degenerate behaviour of the
 // optional faces on an unbuffered connection and on the pipe fabric:
 // Flush succeeds as a no-op, Pending is false (a pipe with queued input
-// reports true), and SetWireVersion is accepted everywhere.
+// reports true).
 func TestUnbufferedOptionalFaces(t *testing.T) {
 	client, server := bufferedPair(t, Options{})
-	SetWireVersion(client, protocol.Version)
 	if err := Flush(client); err != nil {
 		t.Fatalf("unbuffered flush: %v", err)
 	}
@@ -105,7 +103,6 @@ func TestUnbufferedOptionalFaces(t *testing.T) {
 	}
 
 	a, b := Pipe()
-	SetWireVersion(a, protocol.Version) // no-op, must not panic
 	if err := Flush(a); err != nil {
 		t.Fatalf("pipe flush: %v", err)
 	}

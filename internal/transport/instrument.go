@@ -31,7 +31,6 @@ func Instrument(c Conn, o *obs.Obs, peer string) Conn {
 		return c
 	}
 	ic := &instrumentedConn{inner: c, o: o, peer: peer}
-	ic.version.Store(2)
 	ic.cSendMsgs = o.Counter("transport.send_msgs")
 	ic.cSendBytes = o.Counter("transport.send_bytes")
 	ic.cSendErrors = o.Counter("transport.send_errors")
@@ -47,9 +46,8 @@ func Instrument(c Conn, o *obs.Obs, peer string) Conn {
 // itself adds only atomics and a mutex-guarded peer label, so it stays
 // race-clean under close-vs-send stress (instrument_test.go).
 type instrumentedConn struct {
-	inner   Conn
-	o       *obs.Obs
-	version atomic.Int32 // mirrors the inner conn's negotiated wire version
+	inner Conn
+	o     *obs.Obs
 
 	mu   sync.Mutex // guards peer
 	peer string     // guarded by mu
@@ -77,22 +75,14 @@ func (c *instrumentedConn) peerLabel() string {
 	return c.peer
 }
 
-// SetWireVersion implements WireVersioner, mirroring the version locally
-// so byte accounting matches what actually goes on the wire, then
-// forwarding to the wrapped fabric.
-func (c *instrumentedConn) SetWireVersion(v int) {
-	c.version.Store(int32(v))
-	SetWireVersion(c.inner, v)
-}
-
 // Flush implements Flusher by delegation.
 func (c *instrumentedConn) Flush() error { return Flush(c.inner) }
 
 // Pending implements Pender by delegation.
 func (c *instrumentedConn) Pending() bool { return Pending(c.inner) }
 
-// SendCorrupt implements Faulter when the wrapped fabric does; corrupted
-// frames are JSON-encoded, so they count at the version-2 size.
+// SendCorrupt implements Faulter when the wrapped fabric does; a
+// corrupted frame has the size of its honest encoding.
 func (c *instrumentedConn) SendCorrupt(m *protocol.Message) error {
 	f, ok := c.inner.(Faulter)
 	if !ok {
@@ -132,7 +122,7 @@ func (c *instrumentedConn) Send(m *protocol.Message) error {
 		c.cSendErrors.Inc()
 		return err
 	}
-	bytes := int64(protocol.EncodedSizeVersion(m, int(c.version.Load())))
+	bytes := int64(protocol.EncodedSize(m))
 	c.stats.sentMsgs.Add(1)
 	c.stats.sentBytes.Add(bytes)
 	c.cSendMsgs.Inc()
@@ -169,7 +159,7 @@ func (c *instrumentedConn) Recv() (*protocol.Message, error) {
 		c.cRecvErrors.Inc()
 		return nil, err
 	}
-	bytes := int64(protocol.EncodedSizeVersion(m, int(c.version.Load())))
+	bytes := int64(protocol.EncodedSize(m))
 	c.stats.recvMsgs.Add(1)
 	c.stats.recvBytes.Add(bytes)
 	c.cRecvMsgs.Inc()

@@ -13,8 +13,7 @@ import (
 // to route a connection — the fleet reads Hello to pick a session — hand
 // the consumed frame back this way, so downstream code (Server.Run,
 // Server.Rejoin) performs its own handshake unchanged. All optional
-// connection faces (Faulter, Flusher, WireVersioner, Pender, SetPeer)
-// are forwarded.
+// connection faces (Faulter, Flusher, Pender, SetPeer) are forwarded.
 func Replay(m *protocol.Message, c Conn, onClose func()) Conn {
 	return &replayConn{inner: c, head: m, onClose: onClose}
 }
@@ -66,9 +65,6 @@ func (c *replayConn) SendCorrupt(m *protocol.Message) error {
 
 // Flush implements Flusher by delegation.
 func (c *replayConn) Flush() error { return Flush(c.inner) }
-
-// SetWireVersion implements WireVersioner by delegation.
-func (c *replayConn) SetWireVersion(v int) { SetWireVersion(c.inner, v) }
 
 // Pending implements Pender: the replayed frame counts as buffered
 // input, then the inner connection's knowledge applies.

@@ -11,7 +11,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/protocol"
@@ -45,14 +44,6 @@ type Flusher interface {
 	Flush() error
 }
 
-// WireVersioner is the optional negotiated-encoding face: after the
-// handshake, node code raises (or pins down) the framing version so both
-// ends agree on whether protocol v3 binary bodies are legal on this
-// connection.
-type WireVersioner interface {
-	SetWireVersion(v int)
-}
-
 // Pender reports whether more input is already buffered locally, i.e. a
 // Recv would return without touching the network. Relays use it to keep
 // coalescing while a burst is still arriving.
@@ -67,15 +58,6 @@ func Flush(c Conn) error {
 		return f.Flush()
 	}
 	return nil
-}
-
-// SetWireVersion records the negotiated protocol version on c. A no-op
-// on fabrics that do not encode frames (the in-memory pipe passes
-// message pointers, so every version is trivially supported).
-func SetWireVersion(c Conn, v int) {
-	if w, ok := c.(WireVersioner); ok {
-		w.SetWireVersion(v)
-	}
 }
 
 // Pending reports whether c has input already buffered locally; false
@@ -220,9 +202,8 @@ type Options struct {
 
 // tcpConn frames protocol messages over a net.Conn.
 type tcpConn struct {
-	conn    net.Conn
-	version atomic.Int32 // negotiated wire version for framing (starts at 2)
-	sendMu  sync.Mutex   // serializes frame writes on conn
+	conn   net.Conn
+	sendMu sync.Mutex // serializes frame writes on conn
 	// bw is nil when unbuffered. The pointer is set once at construction
 	// and never reassigned; the buffer's mutable state is only touched
 	// under sendMu (Send/SendCorrupt/Flush) or best-effort in Close.
@@ -237,9 +218,6 @@ type tcpConn struct {
 
 func newTCPConn(c net.Conn, opts Options) *tcpConn {
 	t := &tcpConn{conn: c}
-	// Until the Hello/Setup handshake negotiates otherwise, frame at the
-	// JSON-only revision 2 that every peer accepts.
-	t.version.Store(2)
 	if opts.WriteBuffer > 0 {
 		t.bw = bufio.NewWriterSize(c, opts.WriteBuffer)
 	}
@@ -265,18 +243,11 @@ func (c *tcpConn) reader() io.Reader {
 	return c.conn
 }
 
-// SetWireVersion implements WireVersioner: subsequent Sends may frame
-// bulk messages in the v3 binary encoding when v >= 3. Only the send
-// side is governed — Recv always accepts every revision this build
-// understands (liberal in what we accept), which also keeps a Recv
-// already blocked across a mid-session negotiation correct.
-func (c *tcpConn) SetWireVersion(v int) { c.version.Store(int32(v)) }
-
 // Send implements Conn.
 func (c *tcpConn) Send(m *protocol.Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	return protocol.WriteVersion(c.writer(), m, int(c.version.Load()))
+	return protocol.Write(c.writer(), m)
 }
 
 // SendCorrupt implements Faulter: the frame goes out with a flipped

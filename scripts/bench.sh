@@ -1,11 +1,7 @@
 #!/usr/bin/env bash
-# bench.sh measures the performance-critical paths and writes two
+# bench.sh measures the performance-critical paths and writes
 # machine-readable reports:
 #
-#   BENCH_parallel.json    — the workers-sweep benchmarks (Fig. 3 end to
-#                            end, Lagrange vector encode, Berlekamp–Welch
-#                            decode racing) at workers 1/2/4, reduced to
-#                            per-benchmark speedup ratios by cmd/benchreport.
 #   BENCH_batchdecode.json — the batch-decoding suite (DESIGN.md §9):
 #                            Aggregate batch vs per-slot, DecodeBatch vs
 #                            Decode, cached-weights encode, lazy-reduction
@@ -32,30 +28,28 @@
 #
 #   BENCH_fleet.json       — the fleet fan-in suite (DESIGN.md §16):
 #                            BenchmarkFleetFanIn session latency with
-#                            direct legs (mode=flat), a relay tree that
-#                            forwards frame-by-frame (mode=relay), and the
-#                            same tree with upload gathering (mode=gather).
-#                            benchreport derives fleet_gather_vs_relay and
-#                            enforces that gathering stays within 30% of
-#                            plain relaying (full runs only; 1x quick
-#                            timings are too noisy for a latency-parity
-#                            verdict).
+#                            direct legs (mode=flat) and through edge
+#                            relays (mode=relay), gated against the
+#                            previous report like the suites above.
 #
 #   BENCH_multicore.json   — (--matrix only) the speedup matrix: the
-#                            workers sweeps, the batch-decode suite and the
-#                            wire codec re-run at GOMAXPROCS 1/2/4 (capped
-#                            at nproc), each setting kept as a /procs=N
-#                            name segment. benchreport gates the result:
-#                            the best workers speedup must reach the
+#                            workers sweeps (Fig. 3 end to end, Lagrange
+#                            vector encode), the batch-decode suite and the
+#                            wire codec at GOMAXPROCS 1/2/4 (capped at
+#                            nproc), each setting kept as a /procs=N name
+#                            segment. benchreport gates the result: the
+#                            best workers speedup must reach the
 #                            host-scaled target (skipped, loudly, below 2
 #                            cores — never a silent target_met:false) and
-#                            the derived batch_vs_perslot / binary_vs_json
-#                            ratios must clear their floors on every host.
+#                            the derived batch_vs_perslot ratio must clear
+#                            its floor on every host.
 #
 #   scripts/bench.sh            # full measurement (benchtime 3x)
 #   scripts/bench.sh --quick    # CI smoke: 1 iteration, exercises the
 #                               # whole pipeline without meaningful timings
-#   scripts/bench.sh --matrix   # GOMAXPROCS sweep + gated speedup matrix
+#   scripts/bench.sh --matrix   # GOMAXPROCS sweep + gated speedup matrix,
+#                               # the only run that measures the workers
+#                               # sweeps
 #
 # The reports record the host core count — interpret speedup ratios
 # against it (a 1-core host cannot show wall-clock speedup by construction).
@@ -83,7 +77,6 @@ if [[ "$quick" == 1 ]]; then
     max_regress=10
 fi
 
-out="${BENCH_OUT:-BENCH_parallel.json}"
 batch_out="${BENCH_BATCH_OUT:-BENCH_batchdecode.json}"
 obs_out="${BENCH_OBS_OUT:-BENCH_obs.json}"
 pipe_out="${BENCH_PIPELINE_OUT:-BENCH_pipeline.json}"
@@ -107,12 +100,12 @@ if [[ "$matrix" == 1 ]]; then
     done
 
     # The workers-speedup gate self-skips below 2 cores and scales its
-    # target to the host inside benchreport; the derived-ratio gates are
+    # target to the host inside benchreport; the derived-ratio gate is
     # core-count independent and always enforced. Measured headroom is
-    # wide (batch ~20x vs the 1.5 floor, binary codec ~35x vs 3), so the
-    # floors hold even under --quick's single-iteration noise — but quick
-    # timings are too unstable for a wall-clock speedup verdict, so that
-    # gate is disabled there.
+    # wide (batch ~20x vs the 1.5 floor), so the floor holds even under
+    # --quick's single-iteration noise — but quick timings are too
+    # unstable for a wall-clock speedup verdict, so that gate is disabled
+    # there.
     require_speedup="${REQUIRE_SPEEDUP:-2.0}"
     if [[ "$quick" == 1 ]]; then
         echo "== quick mode: workers-speedup gate disabled (1x timings are noise)"
@@ -128,16 +121,9 @@ if [[ "$matrix" == 1 ]]; then
     go run ./cmd/benchreport -procs -out "$matrix_out" \
         -require-speedup "$require_speedup" \
         -min-ratio batch_vs_perslot=1.5 \
-        -min-ratio binary_vs_json=3 \
         "${matrix_compare_args[@]}" <"$raw"
     exit 0
 fi
-
-echo "== go test -bench Workers -benchtime $benchtime"
-go test -run NONE -bench 'Workers' -benchtime "$benchtime" . | tee "$raw"
-
-echo "== benchreport -> $out"
-go run ./cmd/benchreport -out "$out" < "$raw"
 
 echo "== go test -bench batch-decode suite -benchtime $benchtime"
 go test -run NONE -bench 'AggregateBatch|DecodeBatch|EncodeVectorsCached|DotAcc' \
@@ -185,15 +171,6 @@ go run ./cmd/benchreport -out "$pipe_out" \
 echo "== go test -bench fleet fan-in suite -benchtime $benchtime"
 go test -run NONE -bench 'FleetFanIn' -benchtime "$benchtime" ./internal/node | tee "$raw"
 
-# Gathering must stay within 30% of plain relaying (the window releases
-# with the shard's last upload, so parity is the expectation). The floor
-# is a wall-clock verdict, so --quick's single-iteration noise disables
-# it, mirroring the matrix speedup gate.
-fleet_ratio_args=(-min-ratio fleet_gather_vs_relay=0.7)
-if [[ "$quick" == 1 ]]; then
-    echo "== quick mode: fleet gather-parity gate disabled (1x timings are noise)"
-    fleet_ratio_args=()
-fi
 fleet_compare_args=()
 if [[ -f "$fleet_out" ]]; then
     echo "== benchreport -> $fleet_out (regression gate vs previous, max +${max_regress})"
@@ -201,5 +178,4 @@ if [[ -f "$fleet_out" ]]; then
 else
     echo "== benchreport -> $fleet_out (no baseline yet)"
 fi
-go run ./cmd/benchreport -out "$fleet_out" \
-    "${fleet_ratio_args[@]}" "${fleet_compare_args[@]}" < "$raw"
+go run ./cmd/benchreport -out "$fleet_out" "${fleet_compare_args[@]}" < "$raw"
