@@ -3,7 +3,9 @@
 // its full sub-benchmark name; benchmarks following the workers-sweep
 // convention (sub-benchmarks named workers=N) additionally get per-count
 // speedups against workers=1 — the number the parallel execution engine
-// is judged by.
+// is judged by. Repeated samples of one benchmark (go test -count) are
+// reduced to their median: ns/op, B/op and allocs/op are each the median
+// over the samples, per name and, in a sweep, per workers count.
 //
 // Usage:
 //
@@ -46,6 +48,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"regexp"
 	"runtime"
@@ -61,6 +64,7 @@ type Run struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	Samples     int     `json:"samples,omitempty"`
 }
 
 // Bench is one workers-sweep benchmark with its per-count speedups.
@@ -74,13 +78,15 @@ type Bench struct {
 }
 
 // Entry is one benchmark measurement under its full sub-benchmark name
-// (GOMAXPROCS suffix stripped) — the unit of -compare matching.
+// (GOMAXPROCS suffix stripped) — the unit of -compare matching. Samples
+// counts the repeated lines its medians were taken over.
 type Entry struct {
 	Name        string  `json:"name"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	Samples     int     `json:"samples,omitempty"`
 }
 
 // Report is the benchmark-report JSON schema.
@@ -114,16 +120,17 @@ type Report struct {
 	Note   string             `json:"note,omitempty"`
 }
 
-// benchLine matches one sub-benchmark result, e.g.
+// benchLine matches one benchmark result line, e.g.
 //
 //	BenchmarkFig3VehiclesWorkers/workers=4-8   2  70178653 ns/op  36659424 B/op  581373 allocs/op
 //
 // (the -P GOMAXPROCS suffix is absent when GOMAXPROCS=1; it is captured
 // for -procs matrix mode and stripped otherwise).
-var benchLine = regexp.MustCompile(`^Benchmark(\S+?)/workers=(\d+)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
-// anyBenchLine matches ANY benchmark result line.
-var anyBenchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// sweepName splits a workers-sweep sub-benchmark name — workers=N as its
+// last segment — into the sweep's name and the worker count.
+var sweepName = regexp.MustCompile(`^(\S+)/workers=(\d+)$`)
 
 // parseOpts tunes parse. procsSuffix keeps GOMAXPROCS as a /procs=N name
 // segment (matrix mode); cores is the measuring host's core count
@@ -142,8 +149,13 @@ func parse(lines []string, opts parseOpts) (*Report, error) {
 		opts.targetSpeedup = 2.0
 	}
 	rep := &Report{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, Cores: opts.cores, TargetSpeedup: opts.targetSpeedup}
-	byName := map[string][]Run{}
-	entryIdx := map[string]int{}
+	type sweepRun struct {
+		name    string
+		workers int
+	}
+	var entryNames []string
+	samples := map[string][]Entry{}
+	sweepOf := map[string]sweepRun{}
 	procsOf := func(s string) string {
 		if !opts.procsSuffix {
 			return ""
@@ -158,57 +170,48 @@ func parse(lines []string, opts parseOpts) (*Report, error) {
 			rep.CPU = strings.TrimSpace(cpu)
 			continue
 		}
-		if m := anyBenchLine.FindStringSubmatch(line); m != nil {
-			iters, err := strconv.Atoi(m[3])
-			if err != nil {
-				return nil, fmt.Errorf("benchreport: bad iteration count in %q: %w", line, err)
-			}
-			ns, err := strconv.ParseFloat(m[4], 64)
-			if err != nil {
-				return nil, fmt.Errorf("benchreport: bad ns/op in %q: %w", line, err)
-			}
-			e := Entry{Name: m[1] + procsOf(m[2]), Iterations: iters, NsPerOp: ns}
-			if m[5] != "" {
-				e.BytesPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-			}
-			if m[6] != "" {
-				e.AllocsPerOp, _ = strconv.ParseInt(m[6], 10, 64)
-			}
-			// Repeated names (go test -count) keep the last measurement.
-			if i, seen := entryIdx[e.Name]; seen {
-				rep.Entries[i] = e
-			} else {
-				entryIdx[e.Name] = len(rep.Entries)
-				rep.Entries = append(rep.Entries, e)
-			}
-		}
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		workers, err := strconv.Atoi(m[2])
-		if err != nil {
-			return nil, fmt.Errorf("benchreport: bad workers count in %q: %w", line, err)
-		}
-		iters, err := strconv.Atoi(m[4])
+		iters, err := strconv.Atoi(m[3])
 		if err != nil {
 			return nil, fmt.Errorf("benchreport: bad iteration count in %q: %w", line, err)
 		}
-		ns, err := strconv.ParseFloat(m[5], 64)
+		ns, err := strconv.ParseFloat(m[4], 64)
 		if err != nil {
 			return nil, fmt.Errorf("benchreport: bad ns/op in %q: %w", line, err)
 		}
-		run := Run{Workers: workers, Iterations: iters, NsPerOp: ns}
+		e := Entry{Name: m[1] + procsOf(m[2]), Iterations: iters, NsPerOp: ns}
+		if m[5] != "" {
+			e.BytesPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+		}
 		if m[6] != "" {
-			run.BytesPerOp, _ = strconv.ParseInt(m[6], 10, 64)
+			e.AllocsPerOp, _ = strconv.ParseInt(m[6], 10, 64)
 		}
-		if m[7] != "" {
-			run.AllocsPerOp, _ = strconv.ParseInt(m[7], 10, 64)
+		if sw := sweepName.FindStringSubmatch(m[1]); sw != nil {
+			workers, err := strconv.Atoi(sw[2])
+			if err != nil {
+				return nil, fmt.Errorf("benchreport: bad workers count in %q: %w", line, err)
+			}
+			sweepOf[e.Name] = sweepRun{sw[1] + procsOf(m[2]), workers}
 		}
-		byName[m[1]+procsOf(m[3])] = append(byName[m[1]+procsOf(m[3])], run)
+		if _, seen := samples[e.Name]; !seen {
+			entryNames = append(entryNames, e.Name)
+		}
+		samples[e.Name] = append(samples[e.Name], e)
 	}
-	if len(rep.Entries) == 0 {
+	if len(entryNames) == 0 {
 		return nil, fmt.Errorf("benchreport: no benchmark lines found in input")
+	}
+	byName := map[string][]Run{}
+	for _, name := range entryNames {
+		e := medianEntry(samples[name])
+		rep.Entries = append(rep.Entries, e)
+		if sw, ok := sweepOf[name]; ok {
+			byName[sw.name] = append(byName[sw.name], Run{Workers: sw.workers, Iterations: e.Iterations,
+				NsPerOp: e.NsPerOp, BytesPerOp: e.BytesPerOp, AllocsPerOp: e.AllocsPerOp, Samples: e.Samples})
+		}
 	}
 
 	names := make([]string, 0, len(byName))
@@ -260,6 +263,28 @@ func parse(lines []string, opts parseOpts) (*Report, error) {
 		rep.TargetMet = &met
 	}
 	return rep, nil
+}
+
+// medianEntry reduces repeated samples of one benchmark to one entry
+// whose iterations, ns/op, B/op and allocs/op are each the median over
+// the samples (the mean of the middle pair for an even count).
+func medianEntry(samples []Entry) Entry {
+	field := func(get func(Entry) float64) float64 {
+		xs := make([]float64, len(samples))
+		for i, s := range samples {
+			xs[i] = get(s)
+		}
+		sort.Float64s(xs)
+		return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
+	}
+	return Entry{
+		Name:        samples[0].Name,
+		Iterations:  int(math.Round(field(func(e Entry) float64 { return float64(e.Iterations) }))),
+		NsPerOp:     field(func(e Entry) float64 { return e.NsPerOp }),
+		BytesPerOp:  int64(math.Round(field(func(e Entry) float64 { return float64(e.BytesPerOp) }))),
+		AllocsPerOp: int64(math.Round(field(func(e Entry) float64 { return float64(e.AllocsPerOp) }))),
+		Samples:     len(samples),
+	}
 }
 
 // effectiveTarget scales the requested speedup bar down to what the host

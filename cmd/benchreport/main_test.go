@@ -199,13 +199,34 @@ func TestMatrixModeKeepsProcs(t *testing.T) {
 	}
 }
 
-func TestParseRepeatedNamesKeepLast(t *testing.T) {
+func TestParseRepeatedNamesKeepMedian(t *testing.T) {
 	rep := parseSample(t, strings.Join([]string{
-		"BenchmarkX/a=1-8  100  500 ns/op",
-		"BenchmarkX/a=1-8  100  400 ns/op",
+		"BenchmarkX/a=1-8  100  500 ns/op  64 B/op  3 allocs/op",
+		"BenchmarkX/a=1-8  100  400 ns/op  96 B/op  1 allocs/op",
+		"BenchmarkX/a=1-8  100  900 ns/op  80 B/op  2 allocs/op",
+		"BenchmarkY/workers=1-8  3  300 ns/op",
+		"BenchmarkY/workers=2-8  3  200 ns/op",
+		"BenchmarkY/workers=1-8  3  100 ns/op",
+		"BenchmarkY/workers=2-8  3  900 ns/op",
+		"BenchmarkY/workers=1-8  3  200 ns/op",
+		"BenchmarkY/workers=2-8  3  100 ns/op",
 	}, "\n"))
-	if len(rep.Entries) != 1 || rep.Entries[0].NsPerOp != 400 {
-		t.Fatalf("entries = %+v, want one entry at 400 ns/op", rep.Entries)
+	if len(rep.Entries) != 3 {
+		t.Fatalf("entries = %+v, want X and Y's two workers counts", rep.Entries)
+	}
+	if e := rep.Entries[0]; e.NsPerOp != 500 || e.BytesPerOp != 80 || e.AllocsPerOp != 2 || e.Samples != 3 {
+		t.Errorf("X = %+v, want medians 500 ns/op, 80 B/op, 2 allocs/op over 3 samples", e)
+	}
+	if len(rep.Benchmarks) != 1 || len(rep.Benchmarks[0].Runs) != 2 {
+		t.Fatalf("benchmarks = %+v, want one sweep with two runs", rep.Benchmarks)
+	}
+	for _, r := range rep.Benchmarks[0].Runs {
+		if r.NsPerOp != 200 || r.Samples != 3 {
+			t.Errorf("Y workers=%d = %+v, want median 200 ns/op over 3 samples", r.Workers, r)
+		}
+	}
+	if s := rep.Benchmarks[0].Speedups["workers=2"]; s != 1 {
+		t.Errorf("workers=2 speedup = %g, want 1 from the medians", s)
 	}
 }
 

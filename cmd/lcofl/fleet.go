@@ -10,15 +10,11 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/approx"
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/fl"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/obs/debugz"
 	"repro/internal/parallel"
-	"repro/internal/traffic"
 	"repro/internal/transport"
 )
 
@@ -43,11 +39,6 @@ func buildFleetScenario(sessions, vehicles, rounds, workers int, seed int64, tim
 	if vehicles < 4 {
 		return nil, nil, fmt.Errorf("fleet scenario needs at least 4 vehicles per session, got %d", vehicles)
 	}
-	exact := approx.SymmetricSigmoid()
-	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(exact.F, -2, 2, 1)
-	if err != nil {
-		return nil, nil, err
-	}
 	cfgs := make(map[string]node.ServerConfig, sessions)
 	clients := make(map[string][]node.ClientConfig, sessions)
 	for j, id := range fleetSessionIDs(sessions) {
@@ -60,20 +51,8 @@ func buildFleetScenario(sessions, vehicles, rounds, workers int, seed int64, tim
 		if err != nil {
 			return nil, nil, err
 		}
-		cfgs[id] = node.ServerConfig{
-			FL: fl.Config{
-				InputSize: traffic.NumFeatures, LocalEpochs: 5, LocalRate: 0.2,
-				DistillEpochs: 30, DistillRate: 0.2, ServerStep: 0.5, Seed: s + 4,
-			},
-			Scheme: core.SchemeConfig{
-				NumVehicles: vehicles, NumBatches: chooseBatches(vehicles), Degree: 1, Seed: s + 5,
-				Workers: workers,
-			},
-			RefX:             refX,
-			ActivationCoeffs: p,
-			Rounds:           rounds,
-			RoundTimeout:     timeout,
-			Obs:              ob,
+		if cfgs[id], err = sessionConfig(vehicles, rounds, workers, s, refX, timeout, ob); err != nil {
+			return nil, nil, err
 		}
 		cc := make([]node.ClientConfig, vehicles)
 		for i := 0; i < vehicles; i++ {

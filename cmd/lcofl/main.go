@@ -544,6 +544,33 @@ func chooseBatches(vehicles int) int {
 	}
 }
 
+// sessionConfig is the fusion-centre config every distributed subcommand
+// (serve, dist, soak) runs: the paper's learning knobs, a degree-1 scheme
+// over refX, and the degree-1 least-squares fit of the symmetric sigmoid
+// on [-2, 2] that every participant installs (paper §V). Zero workers and
+// timeout select the defaults.
+func sessionConfig(vehicles, rounds, workers int, seed int64, refX [][]float64, timeout time.Duration, ob *obs.Obs) (node.ServerConfig, error) {
+	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(approx.SymmetricSigmoid().F, -2, 2, 1)
+	if err != nil {
+		return node.ServerConfig{}, err
+	}
+	return node.ServerConfig{
+		FL: fl.Config{
+			InputSize: traffic.NumFeatures, LocalEpochs: 5, LocalRate: 0.2,
+			DistillEpochs: 30, DistillRate: 0.2, ServerStep: 0.5, Seed: seed + 4,
+		},
+		Scheme: core.SchemeConfig{
+			NumVehicles: vehicles, NumBatches: chooseBatches(vehicles), Degree: 1, Seed: seed + 5,
+			Workers: workers,
+		},
+		RefX:             refX,
+		ActivationCoeffs: p,
+		Rounds:           rounds,
+		RoundTimeout:     timeout,
+		Obs:              ob,
+	}, nil
+}
+
 // distributedSetup derives the deterministic scenario both sides of the
 // TCP deployment share.
 func distributedSetup(vehicles int, seed int64) ([][]float64, *traffic.Dataset, [][]float64, []float64, error) {
@@ -593,23 +620,9 @@ func cmdServe(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	exact := approx.SymmetricSigmoid()
-	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(exact.F, -2, 2, 1)
+	scfg, err := sessionConfig(*vehicles, *rounds, 0, *seed, refX, 0, ob)
 	if err != nil {
 		return err
-	}
-	scfg := node.ServerConfig{
-		FL: fl.Config{
-			InputSize: traffic.NumFeatures, LocalEpochs: 5, LocalRate: 0.2,
-			DistillEpochs: 30, DistillRate: 0.2, ServerStep: 0.5, Seed: *seed + 4,
-		},
-		Scheme: core.SchemeConfig{
-			NumVehicles: *vehicles, NumBatches: chooseBatches(*vehicles), Degree: 1, Seed: *seed + 5,
-		},
-		RefX:             refX,
-		ActivationCoeffs: p,
-		Rounds:           *rounds,
-		Obs:              ob,
 	}
 	pipeline(&scfg)
 	srv, err := node.NewServer(scfg)
@@ -870,25 +883,9 @@ func cmdDist(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	exact := approx.SymmetricSigmoid()
-	p, err := approx.LeastSquares{SamplePoints: 21}.Fit(exact.F, -2, 2, 1)
+	scfg, err := sessionConfig(*vehicles, *rounds, *workers, *seed, refX, *timeout, ob)
 	if err != nil {
 		return err
-	}
-	scfg := node.ServerConfig{
-		FL: fl.Config{
-			InputSize: traffic.NumFeatures, LocalEpochs: 5, LocalRate: 0.2,
-			DistillEpochs: 30, DistillRate: 0.2, ServerStep: 0.5, Seed: *seed + 4,
-		},
-		Scheme: core.SchemeConfig{
-			NumVehicles: *vehicles, NumBatches: chooseBatches(*vehicles), Degree: 1, Seed: *seed + 5,
-			Workers: *workers,
-		},
-		RefX:             refX,
-		ActivationCoeffs: p,
-		Rounds:           *rounds,
-		RoundTimeout:     *timeout,
-		Obs:              ob,
 	}
 	pipeline(&scfg)
 	srv, err := node.NewServer(scfg)

@@ -1,9 +1,9 @@
 // Package fl implements the federated-learning substrate shared by every
 // comparison model in the paper's evaluation (paper §III-A and §VI).
 //
-// A System holds the fusion centre's shared model, the vehicles with
-// their local datasets, and the fusion centre's reference feature set.
-// One global round (paper §III-A) proceeds as:
+// A Fusion holds the fusion centre's shared model and reference feature
+// set; a Vehicle holds one participant's local dataset and model. One
+// global round (paper §III-A) proceeds as:
 //
 //  1. the fusion centre broadcasts the shared model parameters;
 //  2. every vehicle resets its local model to the broadcast parameters
@@ -20,11 +20,14 @@
 //     distillation — see DESIGN.md §1(b) for why this is the coherent
 //     reading of the paper's "vehicles upload only estimation results").
 //
+// Fusion.Begin, Vehicle.Train and Fusion.Update are the whole round's
+// computation. System runs them in one process for every reproduced
+// figure; package node runs the same three steps across processes.
+//
 // The package provides the two baseline schemes (plain FL and
 // approximation-only FL differ solely in the activation installed into
-// the models) and the traditional parameter-upload FedAvg mode
-// (RunParamRound); package core provides the paper's contribution on top
-// of the same System.
+// the models); package core provides the paper's contribution on top of
+// the same System.
 package fl
 
 import (
@@ -36,7 +39,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/approx"
 	"repro/internal/channel"
-	"repro/internal/linalg"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -53,11 +55,6 @@ func IsDropped(v float64) bool { return math.IsNaN(v) }
 type Config struct {
 	// InputSize is the feature-vector length (the paper's M = 16).
 	InputSize int
-	// Hidden optionally inserts hidden layers. The coded path requires a
-	// single nonlinear layer so that the end-to-end estimation stays a
-	// degree-d polynomial of the input (see DESIGN.md §1); baselines may
-	// use hidden layers freely.
-	Hidden []int
 	// LocalEpochs is the per-round local SGD epoch count t.
 	LocalEpochs int
 	// LocalRate is the local learning rate ρ of eq. 1.
@@ -66,18 +63,6 @@ type Config struct {
 	DistillEpochs int
 	// DistillRate is the fusion centre's update learning rate.
 	DistillRate float64
-	// WeightCap, when positive, bounds the L1 norm of every model's
-	// parameter vector via projected SGD. Polynomial activations require
-	// it: they are non-monotone outside their approximation interval, so
-	// pre-activations must stay bounded (|w·x+b| ≤ ‖params‖₁ for inputs
-	// in [-1, 1]).
-	WeightCap float64
-	// ProximalMu adds a FedProx-style proximal term to local training,
-	// pulling each vehicle's parameters toward the broadcast model with
-	// strength μ. Coded schemes rely on it: the decoder separates honest
-	// from malicious uploads by residual, so honest heterogeneity must
-	// stay bounded. Zero disables the term (plain FedAvg-style locals).
-	ProximalMu float64
 	// ServerStep damps the fusion centre's parameter update:
 	// new = old + ServerStep·(fit − old). Values in (0, 1]; zero selects
 	// the default 0.5. Full steps (1.0) can induce a period-2 oscillation
@@ -114,14 +99,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// serverStep returns the damping factor with its default applied.
-func (c Config) serverStep() float64 {
-	if c.ServerStep == 0 {
-		return 0.5
-	}
-	return c.ServerStep
-}
-
 // Vehicle is one FL participant with its private dataset and local model.
 type Vehicle struct {
 	// ID indexes the vehicle; it is also its adversary-plan key.
@@ -134,13 +111,31 @@ type Vehicle struct {
 	rng *rand.Rand
 }
 
+// NewVehicle builds a participant whose SGD shuffle stream is seeded
+// with seed. System seeds vehicle i with Config.Seed+100+i.
+func NewVehicle(id int, data []nn.Sample, model *nn.Network, seed int64) *Vehicle {
+	return &Vehicle{ID: id, Data: data, Model: model, rng: rand.New(rand.NewSource(seed))}
+}
+
+// Train is the vehicle's step of a round: it installs the broadcast
+// parameters and trains on the local dataset by SGD (eq. 1), returning
+// the final epoch's mean loss.
+func (v *Vehicle) Train(broadcast []float64, cfg Config) (float64, error) {
+	if err := v.Model.SetParams(broadcast); err != nil {
+		return 0, fmt.Errorf("fl: vehicle %d: %w", v.ID, err)
+	}
+	loss, err := v.Model.TrainSGD(v.Data, cfg.LocalRate, cfg.LocalEpochs, v.rng)
+	if err != nil {
+		return 0, fmt.Errorf("fl: vehicle %d training: %w", v.ID, err)
+	}
+	return loss, nil
+}
+
 // System is a running FL deployment.
 type System struct {
 	cfg      Config
-	shared   *nn.Network
+	fusion   *Fusion
 	vehicles []*Vehicle
-	refX     [][]float64
-	rng      *rand.Rand
 	round    int
 
 	// Observability handles, resolved once in NewSystem so the per-round
@@ -158,35 +153,14 @@ type System struct {
 // model with the given activation, and the fusion centre's reference
 // features used for estimation aggregation and distillation.
 func NewSystem(cfg Config, localData [][]nn.Sample, refX [][]float64, act approx.Activation) (*System, error) {
-	if err := cfg.validate(); err != nil {
+	fusion, err := NewFusion(cfg, refX, act)
+	if err != nil {
 		return nil, err
 	}
 	if len(localData) == 0 {
 		return nil, fmt.Errorf("fl: need at least one vehicle dataset")
 	}
-	if len(refX) == 0 {
-		return nil, fmt.Errorf("fl: need a non-empty reference feature set")
-	}
-	for i, x := range refX {
-		if len(x) != cfg.InputSize {
-			return nil, fmt.Errorf("fl: reference sample %d has %d features, want %d", i, len(x), cfg.InputSize)
-		}
-	}
-	sizes := append([]int{cfg.InputSize}, cfg.Hidden...)
-	sizes = append(sizes, 1)
-	shared, err := nn.New(nn.Config{LayerSizes: sizes, Activation: act, Seed: cfg.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("fl: shared model: %w", err)
-	}
-	if err := shared.SetWeightCap(cfg.WeightCap); err != nil {
-		return nil, fmt.Errorf("fl: %w", err)
-	}
-	s := &System{
-		cfg:    cfg,
-		shared: shared,
-		refX:   cloneRows(refX),
-		rng:    rand.New(rand.NewSource(cfg.Seed + 1)),
-	}
+	s := &System{cfg: cfg, fusion: fusion}
 	if cfg.Obs.Enabled() {
 		s.obs = cfg.Obs
 		s.cRounds = cfg.Obs.Counter("fl.rounds")
@@ -200,12 +174,7 @@ func NewSystem(cfg Config, localData [][]nn.Sample, refX [][]float64, act approx
 		if len(data) == 0 {
 			return nil, fmt.Errorf("fl: vehicle %d has no local data", i)
 		}
-		s.vehicles = append(s.vehicles, &Vehicle{
-			ID:    i,
-			Data:  data,
-			Model: shared.Clone(),
-			rng:   rand.New(rand.NewSource(cfg.Seed + 100 + int64(i))),
-		})
+		s.vehicles = append(s.vehicles, NewVehicle(i, data, fusion.shared.Clone(), cfg.Seed+100+int64(i)))
 	}
 	return s, nil
 }
@@ -220,17 +189,14 @@ func cloneRows(rows [][]float64) [][]float64 {
 
 // Shared returns the fusion centre's current shared model (live, not a
 // copy — callers evaluate it between rounds).
-func (s *System) Shared() *nn.Network { return s.shared }
-
-// NumVehicles returns V.
-func (s *System) NumVehicles() int { return len(s.vehicles) }
+func (s *System) Shared() *nn.Network { return s.fusion.shared }
 
 // Round returns the number of completed global rounds.
 func (s *System) Round() int { return s.round }
 
 // ReferenceFeatures returns the fusion centre's reference features
 // (copies).
-func (s *System) ReferenceFeatures() [][]float64 { return cloneRows(s.refX) }
+func (s *System) ReferenceFeatures() [][]float64 { return cloneRows(s.fusion.refX) }
 
 // Scheme is the pluggable estimation-upload-and-aggregation strategy that
 // distinguishes the comparison models.
@@ -303,9 +269,9 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 	if rs, ok := ch.(interface{ RoundStart() }); ok {
 		rs.RoundStart()
 	}
-	sharedParams := s.shared.Params()
-	if err := scheme.BeginRound(s.shared.Clone()); err != nil {
-		return nil, fmt.Errorf("fl: scheme begin round: %w", err)
+	sharedParams, err := s.fusion.Begin(scheme)
+	if err != nil {
+		return nil, err
 	}
 
 	stats := &RoundStats{Round: s.round + 1}
@@ -336,18 +302,15 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 	if s.obs.Enabled() {
 		trainNs = make([]int64, len(s.vehicles))
 	}
-	err := parallel.ForEach(parallel.Workers(s.cfg.Workers), len(s.vehicles), func(i int) error {
+	err = parallel.ForEach(parallel.Workers(s.cfg.Workers), len(s.vehicles), func(i int) error {
 		v := s.vehicles[i]
 		var t0 time.Duration
 		if trainNs != nil {
 			t0 = s.obs.Now()
 		}
-		if err := v.Model.SetParams(sharedParams); err != nil {
-			return fmt.Errorf("fl: vehicle %d: %w", v.ID, err)
-		}
-		loss, err := v.Model.TrainSGDProximal(v.Data, s.cfg.LocalRate, s.cfg.LocalEpochs, v.rng, s.cfg.ProximalMu, sharedParams)
+		loss, err := v.Train(sharedParams, s.cfg)
 		if err != nil {
-			return fmt.Errorf("fl: vehicle %d training: %w", v.ID, err)
+			return err
 		}
 		losses[i] = loss
 		up, err := scheme.Upload(v.ID, v.Model)
@@ -425,24 +388,10 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 	if err != nil {
 		return nil, fmt.Errorf("fl: aggregate: %w", err)
 	}
-	if len(targets) != len(s.refX) {
-		return nil, fmt.Errorf("fl: scheme produced %d targets for %d reference samples", len(targets), len(s.refX))
-	}
 	stats.Targets = targets
-
-	distill := make([]nn.Sample, 0, len(targets))
-	for j, target := range targets {
-		if IsDropped(target) {
-			continue // aggregation could not recover this sample
-		}
-		distill = append(distill, nn.Sample{X: s.refX[j], Y: clamp01(target)})
-	}
-	if len(distill) == 0 {
-		return nil, fmt.Errorf("fl: no usable estimation targets this round")
-	}
-	dl, err := s.distill(distill)
+	dl, err := s.fusion.Update(targets)
 	if err != nil {
-		return nil, fmt.Errorf("fl: distillation: %w", err)
+		return nil, err
 	}
 	stats.DistillLoss = dl
 	s.round++
@@ -457,98 +406,10 @@ func (s *System) RunRound(scheme Scheme, plan *adversary.Plan, ch channel.Model)
 	return stats, nil
 }
 
-// distill updates the shared model toward the estimation targets.
-func (s *System) distill(samples []nn.Sample) (float64, error) {
-	return Distill(s.shared, s.cfg, samples)
-}
-
-// Distill updates a shared model toward per-sample estimation targets —
-// the fusion centre's update step, exported so the distributed runtime
-// (package node) can reuse it. For the paper's single-nonlinear-layer
-// model the fit has a closed form — invert the activation on the targets
-// (π = (1+tanh(z/2))/2 ⇒ z = 2·artanh(2π−1)) and solve the linear
-// least-squares problem for the weights — which is deterministic and free
-// of gradient-descent oscillation. Deeper baseline models fall back to
-// full-batch gradient descent.
-func Distill(shared *nn.Network, cfg Config, samples []nn.Sample) (float64, error) {
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("fl: no distillation samples")
-	}
-	if len(cfg.Hidden) != 0 {
-		return shared.TrainFullBatch(samples, cfg.DistillRate, cfg.DistillEpochs)
-	}
-	n := len(samples)
-	// The logit fit must stay inside the activation's valid range. The
-	// exact symmetric sigmoid is monotone everywhere, so ±3.9 (π clamped
-	// to [0.02, 0.98]) is fine; a polynomial approximation is only
-	// faithful on its fit interval (the paper's [-2, 2]) and turns
-	// non-monotone beyond it — target logits outside that range would
-	// drive pre-activations into the region where the polynomial
-	// decreases again and scramble the model's predictions.
-	zmax := 3.9
-	if shared.Activation().Poly != nil {
-		zmax = 2
-	}
-	piMax := (1 + math.Tanh(zmax/2)) / 2
-	a := linalg.NewMatrix(n, cfg.InputSize+1)
-	z := make([]float64, n)
-	for i, smp := range samples {
-		for j, v := range smp.X {
-			a.Set(i, j, v)
-		}
-		a.Set(i, cfg.InputSize, 1) // bias column
-		pi := math.Min(piMax, math.Max(1-piMax, smp.Y))
-		z[i] = 2 * math.Atanh(2*pi-1)
-	}
-	// Ridge regularisation keeps the fit well-posed when a rare-event
-	// feature is constant over the reference set (collinear with bias),
-	// and — equally important — keeps the weight vector bounded along
-	// nearly-collinear feature directions. Unregularised weights can grow
-	// huge there while cancelling on the data manifold; Lagrange-encoded
-	// inputs leave that manifold, so runaway weights would make honest
-	// encoded estimations explode. λ scales with the sample count to
-	// track the magnitude of AᵀA.
-	wb, err := linalg.RidgeLeastSquares(a, z, 1e-3*float64(n))
-	if err != nil {
-		// Degenerate reference geometry: fall back to gradient descent.
-		return shared.TrainFullBatch(samples, cfg.DistillRate, cfg.DistillEpochs)
-	}
-	// Damped server update: move partway from the current parameters to
-	// the closed-form fit.
-	alpha := cfg.serverStep()
-	old := shared.Params()
-	for i := range wb {
-		wb[i] = old[i] + alpha*(wb[i]-old[i])
-	}
-	if err := shared.SetParams(wb); err != nil {
-		return 0, err
-	}
-	shared.ProjectWeights()
-	var total float64
-	for _, smp := range samples {
-		l, err := shared.Loss(smp.X, smp.Y)
-		if err != nil {
-			return 0, err
-		}
-		total += l
-	}
-	return total / float64(n), nil
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
 // Accuracy evaluates the shared model's classification accuracy on a test
 // set (threshold 0.5 on the estimation result π).
 func (s *System) Accuracy(test []nn.Sample) (float64, error) {
-	return ModelAccuracy(s.shared, test)
+	return ModelAccuracy(s.fusion.shared, test)
 }
 
 // ModelAccuracy is Accuracy for an arbitrary model.
@@ -577,32 +438,11 @@ func (s *System) MeanEstimate(features [][]float64) (float64, error) {
 	}
 	var sum float64
 	for _, x := range features {
-		pi, err := s.shared.EstimateClamped(x)
+		pi, err := s.fusion.shared.EstimateClamped(x)
 		if err != nil {
 			return 0, err
 		}
 		sum += pi
 	}
 	return sum / float64(len(features)), nil
-}
-
-// FedAvg averages parameter vectors elementwise — the classic aggregation
-// of paper eq. 2, provided for the traditional parameter-upload FL mode
-// and its tests. All vectors must share one length.
-func FedAvg(params [][]float64) ([]float64, error) {
-	if len(params) == 0 {
-		return nil, fmt.Errorf("fl: FedAvg over zero vectors")
-	}
-	n := len(params[0])
-	out := make([]float64, n)
-	for i, p := range params {
-		if len(p) != n {
-			return nil, fmt.Errorf("fl: FedAvg vector %d has length %d, want %d", i, len(p), n)
-		}
-		linalg.VecAddInPlace(out, p)
-	}
-	for i := range out {
-		out[i] /= float64(len(params))
-	}
-	return out, nil
 }

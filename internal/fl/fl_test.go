@@ -250,36 +250,6 @@ func TestAccuracyValidation(t *testing.T) {
 	}
 }
 
-func TestFedAvg(t *testing.T) {
-	got, err := FedAvg([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 2 || got[1] != 3 {
-		t.Errorf("FedAvg = %v", got)
-	}
-	if _, err := FedAvg(nil); err == nil {
-		t.Error("empty FedAvg accepted")
-	}
-	if _, err := FedAvg([][]float64{{1}, {1, 2}}); err == nil {
-		t.Error("ragged FedAvg accepted")
-	}
-}
-
-func TestFedAvgIsLinearInParams(t *testing.T) {
-	// FedAvg of identical vectors is the identity — eq. 2 sanity.
-	p := []float64{0.5, -1, 3}
-	got, err := FedAvg([][]float64{p, p, p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range p {
-		if got[i] != p[i] {
-			t.Errorf("FedAvg(identical)[%d] = %g", i, got[i])
-		}
-	}
-}
-
 func TestDeterministicRounds(t *testing.T) {
 	a, _ := buildSystem(t, 5, approx.SymmetricSigmoid())
 	b, _ := buildSystem(t, 5, approx.SymmetricSigmoid())

@@ -9,8 +9,7 @@
 // of eq. 11 by stochastic gradient descent (eq. 1).
 //
 // Networks are deterministic given a seed, cloneable, and expose their
-// parameters as a flat vector so the plain-FL baseline can FedAvg them
-// (eq. 2).
+// parameters as a flat vector so the fusion centre can broadcast them.
 package nn
 
 import (
@@ -39,13 +38,6 @@ type Network struct {
 	weights []*linalg.Matrix // weights[l]: sizes[l+1] × sizes[l]
 	biases  [][]float64      // biases[l]: sizes[l+1]
 	act     approx.Activation
-	// weightCap, when positive, bounds the L1 norm of the flat parameter
-	// vector: every training step projects back onto the L1 ball.
-	// Polynomial activations are only faithful on a bounded
-	// pre-activation interval (non-monotone beyond it), so with inputs in
-	// [-1, 1] capping ‖params‖₁ keeps |w·x + b| inside that interval —
-	// projected SGD, the standard constrained-training device.
-	weightCap float64
 }
 
 // New builds a network with Xavier-style uniform initialisation.
@@ -101,50 +93,11 @@ func (n *Network) SetActivation(a approx.Activation) error {
 	return nil
 }
 
-// SetWeightCap installs (or removes, with 0) the L1 projection bound.
-func (n *Network) SetWeightCap(cap float64) error {
-	if cap < 0 {
-		return fmt.Errorf("nn: weight cap %g must be >= 0", cap)
-	}
-	n.weightCap = cap
-	return nil
-}
-
-// WeightCap returns the current L1 projection bound (0 = off).
-func (n *Network) WeightCap() float64 { return n.weightCap }
-
-// ProjectWeights applies the L1 projection immediately — used after
-// external parameter updates (the fusion centre's closed-form distill).
-func (n *Network) ProjectWeights() { n.projectWeightCap() }
-
-// projectWeightCap scales the parameters back onto the L1 ball when the
-// cap is active.
-func (n *Network) projectWeightCap() {
-	if n.weightCap <= 0 {
-		return
-	}
-	params := n.Params()
-	var l1 float64
-	for _, p := range params {
-		l1 += math.Abs(p)
-	}
-	if l1 <= n.weightCap {
-		return
-	}
-	scale := n.weightCap / l1
-	for i := range params {
-		params[i] *= scale
-	}
-	// SetParams cannot fail here: the layout is the network's own.
-	_ = n.SetParams(params)
-}
-
 // Clone returns an independent deep copy sharing no state.
 func (n *Network) Clone() *Network {
 	out := &Network{
-		sizes:     append([]int(nil), n.sizes...),
-		act:       n.act,
-		weightCap: n.weightCap,
+		sizes: append([]int(nil), n.sizes...),
+		act:   n.act,
 	}
 	for l := range n.weights {
 		out.weights = append(out.weights, n.weights[l].Clone())
@@ -263,16 +216,6 @@ type Sample struct {
 // (paper eq. 1) over the samples with learning rate rho, shuffling with
 // rng each epoch, and returns the mean loss of the final epoch.
 func (n *Network) TrainSGD(samples []Sample, rho float64, epochs int, rng *rand.Rand) (float64, error) {
-	return n.TrainSGDProximal(samples, rho, epochs, rng, 0, nil)
-}
-
-// TrainSGDProximal is TrainSGD with a FedProx-style proximal term: each
-// sample step additionally pulls the parameters toward the anchor with
-// strength mu (loss + μ/2·‖w − anchor‖²). The L-CoFL pipeline uses it to
-// bound the heterogeneity of honest vehicles around the broadcast shared
-// model, which is what separates honest uploads from malicious ones at the
-// decoder. mu = 0 (with a nil anchor) disables the term.
-func (n *Network) TrainSGDProximal(samples []Sample, rho float64, epochs int, rng *rand.Rand, mu float64, anchor []float64) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("nn: no training samples")
 	}
@@ -286,12 +229,6 @@ func (n *Network) TrainSGDProximal(samples []Sample, rho float64, epochs int, rn
 		// The paper's application trains a scalar estimation head
 		// (eq. 11); vector targets are out of scope.
 		return 0, fmt.Errorf("nn: SGD training requires a single output, network has %d", n.OutputSize())
-	}
-	if mu < 0 {
-		return 0, fmt.Errorf("nn: proximal strength %g must be >= 0", mu)
-	}
-	if mu > 0 && len(anchor) != n.NumParams() {
-		return 0, fmt.Errorf("nn: anchor length %d, want %d", len(anchor), n.NumParams())
 	}
 	order := make([]int, len(samples))
 	for i := range order {
@@ -309,17 +246,6 @@ func (n *Network) TrainSGDProximal(samples []Sample, rho float64, epochs int, rn
 				return 0, err
 			}
 			total += loss
-			if mu > 0 {
-				// Proximal pull: w ← w − ρ·μ·(w − anchor).
-				params := n.Params()
-				for i := range params {
-					params[i] -= rho * mu * (params[i] - anchor[i])
-				}
-				if err := n.SetParams(params); err != nil {
-					return 0, err
-				}
-			}
-			n.projectWeightCap()
 		}
 		lastLoss = total / float64(len(samples))
 	}
@@ -488,7 +414,6 @@ func (n *Network) TrainFullBatch(samples []Sample, rate float64, epochs int) (fl
 		if err := n.SetParams(params); err != nil {
 			return 0, err
 		}
-		n.projectWeightCap()
 		lastLoss = total / float64(len(samples))
 	}
 	return lastLoss, nil

@@ -20,8 +20,6 @@ type Snapshot struct {
 	// ActivationPoly holds polynomial activation coefficients; empty
 	// means the exact symmetric sigmoid of paper eq. 10.
 	ActivationPoly []float64 `json:"activation_poly,omitempty"`
-	// WeightCap preserves the projected-SGD bound (0 = off).
-	WeightCap float64 `json:"weight_cap,omitempty"`
 }
 
 // Snapshot captures the network's current state.
@@ -29,7 +27,6 @@ func (n *Network) Snapshot() Snapshot {
 	s := Snapshot{
 		LayerSizes: n.Sizes(),
 		Params:     n.Params(),
-		WeightCap:  n.weightCap,
 	}
 	if p := n.act.Poly; p != nil {
 		s.ActivationPoly = append([]float64(nil), p...)
@@ -51,9 +48,6 @@ func FromSnapshot(s Snapshot) (*Network, error) {
 		return nil, fmt.Errorf("nn: snapshot: %w", err)
 	}
 	if err := n.SetParams(s.Params); err != nil {
-		return nil, fmt.Errorf("nn: snapshot: %w", err)
-	}
-	if err := n.SetWeightCap(s.WeightCap); err != nil {
 		return nil, fmt.Errorf("nn: snapshot: %w", err)
 	}
 	return n, nil

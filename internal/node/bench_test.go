@@ -27,8 +27,10 @@ func benchSession(b *testing.B, lockstep bool) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := buildSessionFull(b, benchVehicles, benchRounds, 0, nil, 0)
-		s.server.cfg.DisablePipeline = lockstep
-		s.server.cfg.WaitBudget = -1 // ignored by the lock-step engine
+		s.reconfigure(b, func(c *ServerConfig) {
+			c.DisablePipeline = lockstep
+			c.WaitBudget = -1 // ignored by the lock-step engine
+		})
 		// Default Options: chaos delays run on the real sleeper.
 		inj := chaos.New(mustChaosSpec(b, benchDelaySpec), chaos.Options{})
 		b.StartTimer()

@@ -436,7 +436,7 @@ func (f *Fleet) sendReject(conn transport.Conn, reason string, retry bool) {
 func (f *Fleet) startSession(sess *fleetSession) {
 	f.mu.Lock()
 	conns := make([]transport.Conn, 0, sess.expect)
-	for _, vid := range sortedVehicleIDs(sess.conns) {
+	for _, vid := range sortedIDs(sess.conns) {
 		conns = append(conns, sess.conns[vid])
 	}
 	f.mu.Unlock()
@@ -456,7 +456,7 @@ func (f *Fleet) startSession(sess *fleetSession) {
 		// Close every connection still tracked (rejoins included): slots
 		// release via the wrap hooks, then the session's budget chunk.
 		open := make([]transport.Conn, 0, len(sess.conns))
-		for _, vid := range sortedVehicleIDs(sess.conns) {
+		for _, vid := range sortedIDs(sess.conns) {
 			open = append(open, sess.conns[vid])
 		}
 		f.mu.Unlock()

@@ -2,11 +2,16 @@
 // centre process and vehicle processes exchanging protocol messages over
 // a transport fabric (in-memory or TCP).
 //
-// The round structure mirrors package fl exactly — broadcast, local
-// training (eq. 1), scheme upload, verified aggregation, distillation —
-// but each vehicle holds only its own state and the fusion centre only
-// the shared model, so the deployment is faithful to Fig. 1: vehicles
-// never exchange raw data, and the fusion centre never sees local
+// The round's computation is not defined here. The fusion centre drives
+// an fl.Fusion (broadcast parameters, distillation update) and each
+// vehicle an fl.Vehicle (local training, eq. 1), the same steps
+// fl.System runs in process for every reproduced figure;
+// TestDistributedMatchesInProcess pins the two paths to bit-identical
+// models at every worker count, with and without liars. What node adds
+// is the deployment of Fig. 1: the handshake, the transport, upload
+// collection, fault recovery and telemetry. Each vehicle holds only its
+// own state and the fusion centre only the shared model, so vehicles
+// never exchange raw data and the fusion centre never sees local
 // datasets. Vehicles rebuild the deterministic L-CoFL scheme from the
 // Setup message, so their Lagrange-encoded shares match the fusion
 // centre's without shipping any encoding matrices.
@@ -25,7 +30,6 @@ package node
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -135,8 +139,11 @@ type Report struct {
 // Server is the fusion centre.
 type Server struct {
 	cfg    ServerConfig
-	shared *nn.Network
+	fusion *fl.Fusion
 	scheme *core.Scheme
+	// streamer is the scheme's streaming face; nil under DisablePipeline,
+	// which selects the lock-step engine.
+	streamer fl.StreamingAggregator
 
 	// rejoin carries handshaked reconnections into Run's collect loop.
 	rejoin chan rejoinReq
@@ -144,11 +151,6 @@ type Server struct {
 	mu        sync.Mutex // guards done and finRounds
 	done      bool       // guarded by mu
 	finRounds int        // guarded by mu
-
-	// trace is the session trace ID every process joins
-	// (obs.TraceIDFromSeed(Scheme.Seed)); zero with tracing off. Set
-	// once at the top of Run, read only by the run goroutine.
-	trace uint64
 
 	statusMu sync.Mutex // guards status
 	status   Status     // guarded by statusMu
@@ -246,12 +248,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.WaitBudget < -1 {
 		return nil, fmt.Errorf("node: wait budget %d outside {-1, 0, 1, ...}", cfg.WaitBudget)
 	}
-	act := approx.FromPolynomial("wire-poly", poly.NewReal(cfg.ActivationCoeffs...))
-	sizes := append([]int{cfg.FL.InputSize}, cfg.FL.Hidden...)
-	sizes = append(sizes, 1)
-	shared, err := nn.New(nn.Config{LayerSizes: sizes, Activation: act, Seed: cfg.FL.Seed})
+	fusion, err := fl.NewFusion(cfg.FL, cfg.RefX, approx.FromPolynomial("wire-poly", poly.NewReal(cfg.ActivationCoeffs...)))
 	if err != nil {
-		return nil, fmt.Errorf("node: shared model: %w", err)
+		return nil, fmt.Errorf("node: %w", err)
 	}
 	if cfg.Obs.Enabled() && cfg.Scheme.Obs == nil {
 		cfg.Scheme.Obs = cfg.Obs
@@ -262,9 +261,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	srv := &Server{
 		cfg:    cfg,
-		shared: shared,
+		fusion: fusion,
 		scheme: scheme,
 		rejoin: make(chan rejoinReq, 64),
+	}
+	if cfg.DisablePipeline {
+		// The lock-step engine: no streaming ingest, and every round
+		// waits for every live vehicle, so no broadcast is ever withheld.
+		srv.cfg.WaitBudget, srv.cfg.AdaptiveBudget = 0, false
+	} else {
+		srv.streamer = scheme
 	}
 	if cfg.Obs.Enabled() {
 		srv.obs = cfg.Obs
@@ -281,7 +287,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 }
 
 // Shared exposes the fusion centre's model (for evaluation after Run).
-func (s *Server) Shared() *nn.Network { return s.shared }
+func (s *Server) Shared() *nn.Network { return s.fusion.Shared() }
 
 // Rejoin hands a reconnected vehicle's fusion-centre-side connection to
 // the running session. It returns immediately; the handshake (hello)
@@ -382,6 +388,49 @@ type result struct {
 	err       error
 }
 
+// runState is one Run's state, confined to the Run goroutine. The
+// per-round fields are hoisted here so the rejoin handler, which can fire
+// at any point of a round's collection window, sees the current round.
+type runState struct {
+	*Server
+	// trace is the session trace ID every process joins
+	// (obs.TraceIDFromSeed(Scheme.Seed)); zero with tracing off.
+	trace    uint64
+	traced   bool
+	traceHex string
+	setup    *protocol.Setup // template; each vehicle gets a copy (setupFor)
+	// ids is byID's keys, sorted. Every per-vehicle sweep walks it rather
+	// than ranging byID directly: map iteration order is randomized, and
+	// send order shapes the wire trace and straggler telemetry, which must
+	// be identical across runs (DESIGN §8).
+	ids      []int
+	byID     map[int]transport.Conn
+	results  chan result
+	report   *Report
+	flagged  map[int]bool
+	dead     map[int]bool
+	adaptive *AdaptiveRedundancy // nil unless AdaptiveBudget
+
+	// Pipeline state (DESIGN.md §14): lastSeen/behind/pendingBc implement
+	// the bounded in-flight-rounds window for vehicles outpaced by a
+	// budget close.
+	lastSeen  map[int]int               // latest round each vehicle uploaded for
+	behind    map[int]bool              // vehicles outpaced by a budget close
+	pendingBc map[int]*protocol.Message // withheld broadcasts, latest only
+
+	// Per-round state, reset by broadcast.
+	round       int
+	roundCtx    obs.SpanContext
+	bc          *protocol.Message
+	uploads     [][]float64
+	outstanding map[int]bool
+	retrans     map[int]int
+	erased      map[int]bool  // malformed uploads dropped this round
+	sink        fl.UploadSink // streaming ingest, nil under DisablePipeline
+	arrived     int
+	overlapNs   int64
+}
+
 // Run drives the session over the given connections (one per vehicle).
 // It handshakes, configures every vehicle, executes the rounds, and sends
 // Finished. Run blocks until the session completes.
@@ -390,151 +439,17 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 	if len(conns) != v {
 		return nil, fmt.Errorf("node: got %d connections, scheme expects %d vehicles", len(conns), v)
 	}
-	// The session trace every process joins is derived deterministically
-	// from the scheme seed (DESIGN §15), so fusion centre and vehicles
-	// agree on it even before the Setup message announces it.
-	traced := s.obs.TraceEnabled()
-	var traceHex string
-	if traced {
-		s.trace = obs.TraceIDFromSeed(s.cfg.Scheme.Seed)
-		traceHex = obs.FormatID(s.trace)
+	r := &runState{
+		Server:    s,
+		traced:    s.obs.TraceEnabled(),
+		report:    &Report{},
+		flagged:   map[int]bool{},
+		dead:      map[int]bool{},
+		lastSeen:  make(map[int]int, v),
+		behind:    make(map[int]bool),
+		pendingBc: make(map[int]*protocol.Message),
 	}
-	s.setStatus(func(st *Status) {
-		*st = Status{
-			Phase:          "handshake",
-			Rounds:         s.cfg.Rounds,
-			RecoverK:       s.scheme.RecoverThreshold(),
-			PipelineWindow: s.cfg.PipelineWindow,
-			AdaptiveBudget: s.cfg.AdaptiveBudget,
-			TraceID:        traceHex,
-		}
-	})
-	// Handshake: map connections to vehicle IDs.
-	byID := make(map[int]transport.Conn, v)
-	helloNs := make(map[int]int64, v)
-	for i, conn := range conns {
-		h, err := readHello(conn, v)
-		if err != nil {
-			return nil, fmt.Errorf("node: conn %d: %w", i, err)
-		}
-		id := h.VehicleID
-		if _, dup := byID[id]; dup {
-			return nil, fmt.Errorf("node: duplicate vehicle ID %d", id)
-		}
-		byID[id] = conn
-		// Relabel the instrumented connection now that the peer has
-		// identified itself: its transport events carry "vehicle-<id>"
-		// instead of the accept-order placeholder.
-		if sp, ok := conn.(interface{ SetPeer(string) }); ok {
-			sp.SetPeer(fmt.Sprintf("vehicle-%d", id))
-		}
-		if traced {
-			// The hello receive timestamp anchors this connection's
-			// clock-offset estimate: Setup echoes it back alongside the
-			// send timestamp, and the vehicle brackets the pair with its
-			// own clock (RTT midpoint, DESIGN §15).
-			helloNs[id] = int64(s.obs.Now())
-			fields := []obs.Field{
-				obs.F("vehicle", id),
-				obs.F("trace", traceHex),
-			}
-			if h.TraceID != "" {
-				fields = append(fields, obs.F("peer_trace", h.TraceID))
-			}
-			s.obs.Emit("node.hello", fields...)
-		}
-	}
-	setup := &protocol.Setup{
-		InputSize:        s.cfg.FL.InputSize,
-		LocalEpochs:      s.cfg.FL.LocalEpochs,
-		LocalRate:        s.cfg.FL.LocalRate,
-		ActivationCoeffs: s.cfg.ActivationCoeffs,
-		RefX:             s.cfg.RefX,
-		SchemeVehicles:   s.cfg.Scheme.NumVehicles,
-		SchemeBatches:    s.cfg.Scheme.NumBatches,
-		SchemeDegree:     s.cfg.Scheme.Degree,
-		SchemeSeed:       s.cfg.Scheme.Seed,
-		WireVersion:      protocol.Version,
-	}
-	// Every per-vehicle sweep below walks this sorted ID list rather
-	// than ranging byID directly: map iteration order is randomized, and
-	// send order shapes the wire trace and straggler telemetry, which
-	// must be identical across runs (DESIGN §8).
-	ids := sortedVehicleIDs(byID)
-	for _, id := range ids {
-		// Each vehicle gets its own Setup copy carrying its clock
-		// readings. Deliberately not flushed here: on a buffered fabric
-		// the Setup coalesces with round 1's broadcast into a single
-		// write.
-		su := *setup
-		if traced {
-			su.TraceID = traceHex
-			su.HelloNs = helloNs[id]
-			su.ClockNs = int64(s.obs.Now())
-		}
-		if err := byID[id].Send(&protocol.Message{Setup: &su}); err != nil {
-			return nil, fmt.Errorf("node: setup to vehicle %d: %w", id, err)
-		}
-	}
-
-	// One receiver goroutine per connection feeds the round loop. Corrupt
-	// frames are frame-local (the stream stays in sync), so the receiver
-	// reports them and keeps reading; any other error is terminal for the
-	// connection.
-	//
-	// The buffer is sized so a receiver goroutine can never block while
-	// the round loop is busy elsewhere (broadcasting, aggregating,
-	// distilling): with PipelineWindow+1 rounds in flight per vehicle (the
-	// current round plus up to window stale rounds a behind vehicle may
-	// still answer), each round can produce at most one upload, up to
-	// MaxRetransmits corrupt-frame reports answered by re-prompts plus the
-	// original corrupt frame — maxRe+2 frames — and the connection's one
-	// terminal error is covered by the final slot of its last round.
-	maxRe := s.cfg.MaxRetransmits
-	if maxRe < 0 {
-		maxRe = 0
-	}
-	results := make(chan result, v*(s.cfg.PipelineWindow+1)*(maxRe+2))
-	startReceiver := func(id int, conn transport.Conn) {
-		go func() {
-			for {
-				m, err := conn.Recv()
-				if err != nil {
-					if errors.Is(err, protocol.ErrCorruptFrame) {
-						results <- result{vehicleID: id, conn: conn, corrupt: true}
-						continue
-					}
-					results <- result{vehicleID: id, conn: conn, err: err}
-					return
-				}
-				if m.Upload == nil {
-					results <- result{vehicleID: id, conn: conn, err: fmt.Errorf("unexpected %s", m.Kind())}
-					return
-				}
-				results <- result{vehicleID: id, conn: conn, round: m.Upload.Round, values: m.Upload.Values, span: m.Upload.SpanID}
-			}
-		}()
-	}
-	for _, id := range ids {
-		startReceiver(id, byID[id])
-	}
-
-	report := &Report{}
-	flagged := map[int]bool{}
-	dead := map[int]bool{}
-
-	// Pipeline state (DESIGN.md §14), confined to this goroutine like the
-	// maps above. streamer absorbs uploads into the incremental decoder as
-	// they arrive; lastSeen/behind/pendingBc implement the bounded
-	// in-flight-rounds window for vehicles outpaced by a budget close.
-	pipeline := !s.cfg.DisablePipeline
-	var streamer fl.StreamingAggregator
-	if pipeline {
-		var sch fl.Scheme = s.scheme
-		streamer, _ = sch.(fl.StreamingAggregator)
-	}
-	var adaptive *AdaptiveRedundancy
-	if pipeline && s.cfg.AdaptiveBudget {
+	if s.cfg.AdaptiveBudget {
 		ctrl, err := NewAdaptiveRedundancy(latency.Scenario{
 			Vehicles:      v,
 			Batches:       s.cfg.Scheme.NumBatches,
@@ -544,398 +459,38 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		adaptive = ctrl
+		r.adaptive = ctrl
 	}
-	lastSeen := make(map[int]int, v)             // latest round each vehicle uploaded for
-	behind := make(map[int]bool)                 // vehicles outpaced by a budget close
-	pendingBc := make(map[int]*protocol.Message) // withheld broadcasts, latest only
-
-	// Per-round state, hoisted so the rejoin handler (a closure shared by
-	// every round's collect loop) sees the current round's values.
-	var (
-		round       int
-		bc          *protocol.Message
-		uploads     [][]float64
-		outstanding map[int]bool
-	)
-
-	// noteUpload records an upload's arrival — current round or stale —
-	// as proof of life: the in-flight window tracks the vehicle's latest
-	// round, it is no longer behind, and a withheld broadcast (always the
-	// current round's) is released, putting the vehicle back in play.
-	noteUpload := func(id, r int) {
-		if r > lastSeen[id] {
-			lastSeen[id] = r
+	// The session trace every process joins is derived deterministically
+	// from the scheme seed (DESIGN §15), so fusion centre and vehicles
+	// agree on it even before the Setup message announces it.
+	if r.traced {
+		r.trace = obs.TraceIDFromSeed(s.cfg.Scheme.Seed)
+		r.traceHex = obs.FormatID(r.trace)
+	}
+	s.setStatus(func(st *Status) {
+		*st = Status{
+			Phase:          "handshake",
+			Rounds:         s.cfg.Rounds,
+			RecoverK:       s.scheme.RecoverThreshold(),
+			PipelineWindow: s.cfg.PipelineWindow,
+			AdaptiveBudget: s.cfg.AdaptiveBudget,
+			TraceID:        r.traceHex,
 		}
-		delete(behind, id)
-		if wb, ok := pendingBc[id]; ok {
-			delete(pendingBc, id)
-			if err := sendFlush(byID[id], wb); err != nil {
-				dead[id] = true
-				return
-			}
-			outstanding[id] = true
+	})
+	if err := r.handshake(conns); err != nil {
+		return nil, err
+	}
+	for r.round = 1; r.round <= s.cfg.Rounds; r.round++ {
+		if err := r.runRound(); err != nil {
+			return nil, err
 		}
 	}
-
-	// handleRejoin revives a reconnected vehicle mid-round: the
-	// connection is swapped in (the stale one closed), Setup is resent so
-	// a restarted process can rebuild its scheme, and if the vehicle
-	// still owes this round's upload the broadcast is resent too.
-	handleRejoin := func(req rejoinReq) {
-		id := req.id
-		if old, ok := byID[id]; ok && old != req.conn {
-			_ = old.Close()
-		}
-		byID[id] = req.conn
-		dead[id] = false
-		// The revival below resends the broadcast directly; a withheld one
-		// is obsolete, and the rejoined vehicle is current again.
-		delete(behind, id)
-		delete(pendingBc, id)
-		if sp, ok := req.conn.(interface{ SetPeer(string) }); ok {
-			sp.SetPeer(fmt.Sprintf("vehicle-%d", id))
-		}
-		report.Rejoins++
-		s.cRejoins.Inc()
-		s.setStatus(func(st *Status) { st.Rejoins++ })
-		s.obs.Emit("node.rejoin", obs.F("round", round), obs.F("vehicle", id))
-		fail := func() {
-			dead[id] = true
-			delete(outstanding, id)
-			_ = req.conn.Close()
-		}
-		su := *setup
-		if traced {
-			su.TraceID = traceHex
-			su.HelloNs = req.helloNs
-			su.ClockNs = int64(s.obs.Now())
-		}
-		if err := req.conn.Send(&protocol.Message{Setup: &su}); err != nil {
-			fail()
-			return
-		}
-		if uploads[id] == nil {
-			if err := req.conn.Send(bc); err != nil {
-				fail()
-				return
-			}
-			outstanding[id] = true
-		}
-		if err := transport.Flush(req.conn); err != nil {
-			fail()
-			return
-		}
-		startReceiver(id, req.conn)
-	}
-
-	for round = 1; round <= s.cfg.Rounds; round++ {
-		s.obs.Emit("node.round_start", obs.F("round", round))
-		// The round span's ID is derived, not random, so every process
-		// computes the same value and the merged timeline can nest
-		// vehicle-side spans under it even when the broadcast carried no
-		// context.
-		var roundCtx obs.SpanContext
-		roundFields := []obs.Field{obs.F("round", round)}
-		if traced {
-			roundCtx = obs.SpanContext{Trace: s.trace, Span: obs.DeriveSpan(s.trace, "node.round", uint64(round))}
-			roundFields = append(roundFields, obs.CtxFields(roundCtx, 0)...)
-		}
-		roundSpan := s.obs.Start("node.round", roundFields...)
-		if err := s.scheme.BeginRound(s.shared.Clone()); err != nil {
-			return nil, fmt.Errorf("node: round %d: %w", round, err)
-		}
-		bc = &protocol.Message{Broadcast: &protocol.Broadcast{Round: round, Params: s.shared.Params()}}
-		if traced {
-			bc.Broadcast.TraceID = traceHex
-			bc.Broadcast.SpanID = obs.FormatID(roundCtx.Span)
-		}
-		for _, id := range ids {
-			if dead[id] {
-				continue
-			}
-			// In-flight window: a vehicle outpaced by a budget close more
-			// than PipelineWindow rounds ago gets its broadcast withheld
-			// (latest only — stashing overwrites) until any upload proves
-			// it alive, so a vanished straggler never accumulates frames.
-			if behind[id] && round-lastSeen[id] > s.cfg.PipelineWindow {
-				pendingBc[id] = bc
-				continue
-			}
-			// The flush barrier after each broadcast is where a buffered
-			// fabric pays its one write syscall; in round 1 the frame
-			// coalesces with the still-unflushed Setup. A flush failure is
-			// a send failure: the frame never reached the wire.
-			if err := sendFlush(byID[id], bc); err != nil {
-				dead[id] = true
-			}
-		}
-
-		uploads = make([][]float64, v)
-		outstanding = make(map[int]bool, v)
-		for id := range byID {
-			if !dead[id] && pendingBc[id] == nil {
-				outstanding[id] = true
-			}
-		}
-		retrans := make(map[int]int)
-		erased := make(map[int]bool) // malformed uploads dropped this round
-
-		// Streaming ingest: each accepted upload flows into the scheme's
-		// incremental decoder immediately, so most of the decode work is
-		// already done when the collection window closes. The effective
-		// wait-budget decides that close: -1 waits for every live vehicle
-		// (lock-step-identical), otherwise the window closes once
-		// K + effBudget uploads have landed.
-		var sink fl.UploadSink
-		if streamer != nil {
-			sink = streamer.BeginIngest()
-		}
-		effBudget := -1
-		switch {
-		case !pipeline:
-		case adaptive != nil:
-			adaptive.SetErrors(len(flagged))
-			effBudget = adaptive.Budget()
-		case s.cfg.WaitBudget == -1:
-			effBudget = 0
-		case s.cfg.WaitBudget > 0:
-			effBudget = s.cfg.WaitBudget
-		}
-		budgetTarget := 0
-		if effBudget >= 0 {
-			budgetTarget = s.scheme.RecoverThreshold() + effBudget
-		}
-		arrived := 0
-		closedBy := "all"
-		var overlapNs int64
-		s.setStatus(func(st *Status) {
-			st.Phase = "collect"
-			st.Round = round
-			st.WaitBudget = effBudget
-			st.BudgetTarget = budgetTarget
-			st.Arrived = 0
-			st.Outstanding = len(outstanding)
-			st.Behind = sortedFlagged(behind)
-		})
-		deadline := time.After(s.cfg.RoundTimeout)
-		// The round closes when every outstanding upload has arrived —
-		// but if connection loss empties the outstanding set while the
-		// round is still below the decode threshold K, the window stays
-		// open until the deadline: degradation is a timeout outcome, and
-		// crashed vehicles get the full round window to rejoin (the
-		// rejoin handler re-arms outstanding) before the model is held
-		// still. Without this, a shard-wide failure — a crashed relay —
-		// would burn through every remaining round degraded in
-		// microseconds, faster than any vehicle can reconnect.
-		kThreshold := s.scheme.RecoverThreshold()
-	collect:
-		for len(outstanding) > 0 || arrived < kThreshold {
-			select {
-			case u := <-results:
-				switch {
-				case u.corrupt:
-					report.CorruptFrames++
-					s.cCorrupt.Inc()
-					s.obs.Emit("node.corrupt_frame", obs.F("round", round), obs.F("vehicle", u.vehicleID))
-					// Prompt the vehicle to resend its cached upload by
-					// re-broadcasting the round, within budget.
-					if byID[u.vehicleID] != u.conn || dead[u.vehicleID] || !outstanding[u.vehicleID] {
-						break
-					}
-					if retrans[u.vehicleID] >= s.cfg.MaxRetransmits {
-						break
-					}
-					retrans[u.vehicleID]++
-					report.Retransmits++
-					s.cRetransmit.Inc()
-					s.obs.Emit("node.retransmit",
-						obs.F("round", round),
-						obs.F("vehicle", u.vehicleID),
-						obs.F("attempt", retrans[u.vehicleID]))
-					if err := sendFlush(u.conn, bc); err != nil {
-						dead[u.vehicleID] = true
-						delete(outstanding, u.vehicleID)
-					}
-				case u.err != nil:
-					if byID[u.vehicleID] != u.conn {
-						break // stale error from a replaced connection
-					}
-					dead[u.vehicleID] = true
-					delete(outstanding, u.vehicleID)
-					report.RecvErrors++
-					s.cRecvErrors.Inc()
-					s.obs.Emit("node.recv_error",
-						obs.F("round", round),
-						obs.F("vehicle", u.vehicleID),
-						obs.F("error", u.err.Error()))
-				case u.round != round:
-					// Stale upload from a previous round's straggler:
-					// discard; the vehicle still owes the current round,
-					// but the arrival is proof of life for the window.
-					if !dead[u.vehicleID] && byID[u.vehicleID] == u.conn {
-						noteUpload(u.vehicleID, u.round)
-					}
-				case outstanding[u.vehicleID] && len(u.values) != s.scheme.UploadLen():
-					// A malformed upload answers the round but carries no
-					// usable symbol: drop it as an erasure and flag its
-					// sender, exactly as verification flags a liar.
-					noteUpload(u.vehicleID, u.round)
-					delete(outstanding, u.vehicleID)
-					erased[u.vehicleID] = true
-					flagged[u.vehicleID] = true
-					s.obs.Emit("node.malformed_upload",
-						obs.F("round", round),
-						obs.F("vehicle", u.vehicleID),
-						obs.F("values", len(u.values)))
-				case outstanding[u.vehicleID]:
-					noteUpload(u.vehicleID, u.round)
-					uploads[u.vehicleID] = u.values
-					delete(outstanding, u.vehicleID)
-					arrived++
-					s.setStatus(func(st *Status) {
-						st.Arrived = arrived
-						st.Outstanding = len(outstanding)
-					})
-					if traced {
-						// The ingest event parents under the upload span the
-						// vehicle propagated (network vs. compute attribution
-						// in the merged waterfall); an upload without context
-						// — an untraced vehicle — parents under the round.
-						ingest := obs.SpanContext{
-							Trace: s.trace,
-							Span:  obs.DeriveSpan(s.trace, "node.ingest", uint64(round), uint64(u.vehicleID)),
-						}
-						parent := roundCtx.Span
-						if p := obs.ParseID(u.span); p != 0 {
-							parent = p
-						}
-						s.obs.Emit("node.ingest", append([]obs.Field{
-							obs.F("round", round),
-							obs.F("vehicle", u.vehicleID),
-						}, obs.CtxFields(ingest, parent)...)...)
-					}
-					if sink != nil {
-						t0 := s.obs.Now()
-						if err := sink.Add(u.vehicleID, u.values); err != nil {
-							// Defensive: a rejected ingest only forfeits the
-							// streamed state; Aggregate redoes the work.
-							sink = nil
-						}
-						overlapNs += int64(s.obs.Now() - t0)
-					}
-					if budgetTarget > 0 && arrived >= budgetTarget && len(outstanding) > 0 {
-						// Enough redundancy: close early and mark the rest
-						// behind — candidates for broadcast withholding once
-						// they trail by more than the in-flight window.
-						for id := range outstanding {
-							behind[id] = true
-						}
-						closedBy = "budget"
-						s.setStatus(func(st *Status) { st.Behind = sortedFlagged(behind) })
-						break collect
-					}
-				}
-			case req := <-s.rejoin:
-				handleRejoin(req)
-			case <-deadline:
-				closedBy = "timeout"
-				break collect // stragglers: leave their uploads nil
-			}
-		}
-		if pipeline {
-			if closedBy == "budget" {
-				s.cEarlyClose.Inc()
-			}
-			s.obs.Emit("node.pipeline",
-				obs.F("round", round),
-				obs.F("wait_budget", effBudget),
-				obs.F("arrived", arrived),
-				obs.F("closed_by", closedBy),
-				obs.F("overlap_ns", overlapNs))
-		}
-		roundStragglers := 0
-		for _, id := range ids {
-			if !dead[id] && uploads[id] == nil && !erased[id] {
-				report.Stragglers++
-				roundStragglers++
-				s.cStragglers.Inc()
-				s.obs.Emit("node.straggler", obs.F("round", round), obs.F("vehicle", id))
-			}
-		}
-		s.setStatus(func(st *Status) {
-			st.Phase = "aggregate"
-			st.Stragglers += roundStragglers
-		})
-		if adaptive != nil {
-			adaptive.ObserveStragglers(roundStragglers)
-		}
-
-		present := 0
-		for _, up := range uploads {
-			if up != nil {
-				present++
-			}
-		}
-		if k := s.scheme.RecoverThreshold(); present < k {
-			// Below the RS decode threshold nothing can be verified or
-			// aggregated: hold the model still rather than fail the
-			// session (DESIGN.md §11).
-			report.DegradedRounds++
-			s.cDegraded.Inc()
-			s.setStatus(func(st *Status) { st.DegradedRounds++ })
-			s.obs.Emit("node.degraded",
-				obs.F("round", round),
-				obs.F("present", present),
-				obs.F("need", k))
-			report.Rounds = round
-			s.cRoundsDone.Inc()
-			roundSpan.End(obs.F("stragglers", roundStragglers), obs.F("degraded", true))
-			continue
-		}
-
-		// Aggregate, consuming the streamed decode state where it applies
-		// (bit-identical to the plain Aggregate, core/stream.go). The
-		// scheme's core.aggregate span nests under this round's span; the
-		// zero context with tracing off keeps it detached.
-		s.scheme.SetSpanParent(roundCtx)
-		var targets []float64
-		var err error
-		if sink != nil {
-			targets, err = streamer.AggregateStreamed(sink, uploads)
-		} else {
-			targets, err = s.scheme.Aggregate(uploads)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("node: round %d aggregate: %w", round, err)
-		}
-		for _, id := range s.scheme.SuspectedMalicious() {
-			flagged[id] = true
-		}
-		distill := make([]nn.Sample, 0, len(targets))
-		for j, target := range targets {
-			if fl.IsDropped(target) {
-				continue
-			}
-			distill = append(distill, nn.Sample{X: s.cfg.RefX[j], Y: clamp01(target)})
-		}
-		if len(distill) > 0 {
-			if _, err := fl.Distill(s.shared, s.cfg.FL, distill); err != nil {
-				return nil, fmt.Errorf("node: round %d distill: %w", round, err)
-			}
-		}
-		report.Rounds = round
-		s.cRoundsDone.Inc()
-		roundSpan.End(
-			obs.F("stragglers", roundStragglers),
-			obs.F("decode_failures", s.scheme.DecodeFailures),
-			obs.F("flagged", len(s.scheme.SuspectedMalicious())))
-	}
-
+	report := r.report
 	fin := &protocol.Message{Finished: &protocol.Finished{Rounds: report.Rounds}}
-	for _, id := range ids {
-		if !dead[id] {
-			_ = sendFlush(byID[id], fin) // best effort; the session is over
+	for _, id := range r.ids {
+		if !r.dead[id] {
+			_ = sendFlush(r.byID[id], fin) // best effort; the session is over
 		}
 	}
 	s.finish(report.Rounds)
@@ -945,12 +500,506 @@ func (s *Server) Run(conns []transport.Conn) (*Report, error) {
 		st.Arrived = 0
 		st.Outstanding = 0
 	})
-	for id := range flagged {
-		report.SuspectedMalicious = append(report.SuspectedMalicious, id)
-	}
-	sort.Ints(report.SuspectedMalicious)
-	report.FinalParams = s.shared.Params()
+	report.SuspectedMalicious = sortedIDs(r.flagged)
+	report.FinalParams = s.fusion.Shared().Params()
 	return report, nil
+}
+
+// handshake maps connections to vehicle IDs, sends every vehicle its
+// Setup and starts one receiver per connection.
+func (r *runState) handshake(conns []transport.Conn) error {
+	r.byID = make(map[int]transport.Conn, len(conns))
+	helloNs := make(map[int]int64, len(conns))
+	for i, conn := range conns {
+		h, err := readHello(conn, len(conns))
+		if err != nil {
+			return fmt.Errorf("node: conn %d: %w", i, err)
+		}
+		id := h.VehicleID
+		if _, dup := r.byID[id]; dup {
+			return fmt.Errorf("node: duplicate vehicle ID %d", id)
+		}
+		r.byID[id] = conn
+		// Relabel the instrumented connection now that the peer has
+		// identified itself: its transport events carry "vehicle-<id>"
+		// instead of the accept-order placeholder.
+		if sp, ok := conn.(interface{ SetPeer(string) }); ok {
+			sp.SetPeer(fmt.Sprintf("vehicle-%d", id))
+		}
+		if r.traced {
+			// The hello receive timestamp anchors this connection's
+			// clock-offset estimate: Setup echoes it back alongside the
+			// send timestamp, and the vehicle brackets the pair with its
+			// own clock (RTT midpoint, DESIGN §15).
+			helloNs[id] = int64(r.obs.Now())
+			fields := []obs.Field{obs.F("vehicle", id), obs.F("trace", r.traceHex)}
+			if h.TraceID != "" {
+				fields = append(fields, obs.F("peer_trace", h.TraceID))
+			}
+			r.obs.Emit("node.hello", fields...)
+		}
+	}
+	r.setup = &protocol.Setup{
+		InputSize:        r.cfg.FL.InputSize,
+		LocalEpochs:      r.cfg.FL.LocalEpochs,
+		LocalRate:        r.cfg.FL.LocalRate,
+		ActivationCoeffs: r.cfg.ActivationCoeffs,
+		RefX:             r.cfg.RefX,
+		SchemeVehicles:   r.cfg.Scheme.NumVehicles,
+		SchemeBatches:    r.cfg.Scheme.NumBatches,
+		SchemeDegree:     r.cfg.Scheme.Degree,
+		SchemeSeed:       r.cfg.Scheme.Seed,
+		WireVersion:      protocol.Version,
+	}
+	r.ids = sortedIDs(r.byID)
+	for _, id := range r.ids {
+		// Deliberately not flushed here: on a buffered fabric the Setup
+		// coalesces with round 1's broadcast into a single write.
+		if err := r.byID[id].Send(r.setupFor(helloNs[id])); err != nil {
+			return fmt.Errorf("node: setup to vehicle %d: %w", id, err)
+		}
+	}
+
+	// One receiver goroutine per connection feeds the round loop.
+	//
+	// The buffer is sized so a receiver goroutine can never block while
+	// the round loop is busy elsewhere (broadcasting, aggregating,
+	// distilling): with PipelineWindow+1 rounds in flight per vehicle (the
+	// current round plus up to window stale rounds a behind vehicle may
+	// still answer), each round can produce at most one upload, up to
+	// MaxRetransmits corrupt-frame reports answered by re-prompts plus the
+	// original corrupt frame — maxRe+2 frames — and the connection's one
+	// terminal error is covered by the final slot of its last round.
+	maxRe := max(r.cfg.MaxRetransmits, 0)
+	r.results = make(chan result, len(conns)*(r.cfg.PipelineWindow+1)*(maxRe+2))
+	for _, id := range r.ids {
+		r.startReceiver(id, r.byID[id])
+	}
+	return nil
+}
+
+// setupFor copies the Setup template for one vehicle, carrying its clock
+// readings when tracing is on.
+func (r *runState) setupFor(helloNs int64) *protocol.Message {
+	su := *r.setup
+	if r.traced {
+		su.TraceID = r.traceHex
+		su.HelloNs = helloNs
+		su.ClockNs = int64(r.obs.Now())
+	}
+	return &protocol.Message{Setup: &su}
+}
+
+// startReceiver reads one connection until it fails. Corrupt frames are
+// frame-local (the stream stays in sync), so the receiver reports them
+// and keeps reading; any other error is terminal for the connection.
+func (r *runState) startReceiver(id int, conn transport.Conn) {
+	results := r.results // fixed for the run; read off the run goroutine
+	go func() {
+		for {
+			m, err := conn.Recv()
+			if err != nil {
+				if errors.Is(err, protocol.ErrCorruptFrame) {
+					results <- result{vehicleID: id, conn: conn, corrupt: true}
+					continue
+				}
+				results <- result{vehicleID: id, conn: conn, err: err}
+				return
+			}
+			if m.Upload == nil {
+				results <- result{vehicleID: id, conn: conn, err: fmt.Errorf("unexpected %s", m.Kind())}
+				return
+			}
+			results <- result{vehicleID: id, conn: conn, round: m.Upload.Round, values: m.Upload.Values, span: m.Upload.SpanID}
+		}
+	}()
+}
+
+// noteUpload records an upload's arrival — current round or stale — as
+// proof of life: the in-flight window tracks the vehicle's latest round,
+// it is no longer behind, and a withheld broadcast (always the current
+// round's) is released, putting the vehicle back in play.
+func (r *runState) noteUpload(id, round int) {
+	if round > r.lastSeen[id] {
+		r.lastSeen[id] = round
+	}
+	delete(r.behind, id)
+	if wb, ok := r.pendingBc[id]; ok {
+		delete(r.pendingBc, id)
+		if err := sendFlush(r.byID[id], wb); err != nil {
+			r.dead[id] = true
+			return
+		}
+		r.outstanding[id] = true
+	}
+}
+
+// handleRejoin revives a reconnected vehicle mid-round: the connection is
+// swapped in (the stale one closed), Setup is resent so a restarted
+// process can rebuild its scheme, and if the vehicle still owes this
+// round's upload the broadcast is resent too.
+func (r *runState) handleRejoin(req rejoinReq) {
+	id := req.id
+	if old, ok := r.byID[id]; ok && old != req.conn {
+		_ = old.Close()
+	}
+	r.byID[id] = req.conn
+	r.dead[id] = false
+	// The revival below resends the broadcast directly; a withheld one is
+	// obsolete, and the rejoined vehicle is current again.
+	delete(r.behind, id)
+	delete(r.pendingBc, id)
+	if sp, ok := req.conn.(interface{ SetPeer(string) }); ok {
+		sp.SetPeer(fmt.Sprintf("vehicle-%d", id))
+	}
+	r.report.Rejoins++
+	r.cRejoins.Inc()
+	r.setStatus(func(st *Status) { st.Rejoins++ })
+	r.obs.Emit("node.rejoin", obs.F("round", r.round), obs.F("vehicle", id))
+	err := req.conn.Send(r.setupFor(req.helloNs))
+	if err == nil && r.uploads[id] == nil {
+		if err = req.conn.Send(r.bc); err == nil {
+			r.outstanding[id] = true
+		}
+	}
+	if err == nil {
+		err = transport.Flush(req.conn)
+	}
+	if err != nil {
+		r.dead[id] = true
+		delete(r.outstanding, id)
+		_ = req.conn.Close()
+		return
+	}
+	r.startReceiver(id, req.conn)
+}
+
+// runRound drives one global round: broadcast, collection, then
+// aggregation and distillation — or, below the RS decode threshold K, a
+// degraded round that holds the model still (DESIGN.md §11).
+func (r *runState) runRound() error {
+	r.obs.Emit("node.round_start", obs.F("round", r.round))
+	// The round span's ID is derived, not random, so every process
+	// computes the same value and the merged timeline can nest
+	// vehicle-side spans under it even when the broadcast carried no
+	// context.
+	r.roundCtx = obs.SpanContext{}
+	roundFields := []obs.Field{obs.F("round", r.round)}
+	if r.traced {
+		r.roundCtx = obs.SpanContext{Trace: r.trace, Span: obs.DeriveSpan(r.trace, "node.round", uint64(r.round))}
+		roundFields = append(roundFields, obs.CtxFields(r.roundCtx, 0)...)
+	}
+	roundSpan := r.obs.Start("node.round", roundFields...)
+	if err := r.broadcast(); err != nil {
+		return err
+	}
+	r.collect()
+	stragglers := r.countStragglers()
+	// Every filled upload slot was counted into arrived as it landed.
+	if present, k := r.arrived, r.scheme.RecoverThreshold(); present < k {
+		// Below the RS decode threshold nothing can be verified or
+		// aggregated: hold the model still rather than fail the session
+		// (DESIGN.md §11).
+		r.report.DegradedRounds++
+		r.cDegraded.Inc()
+		r.setStatus(func(st *Status) { st.DegradedRounds++ })
+		r.obs.Emit("node.degraded",
+			obs.F("round", r.round),
+			obs.F("present", present),
+			obs.F("need", k))
+		r.report.Rounds = r.round
+		r.cRoundsDone.Inc()
+		roundSpan.End(obs.F("stragglers", stragglers), obs.F("degraded", true))
+		return nil
+	}
+	if err := r.aggregate(); err != nil {
+		return err
+	}
+	r.report.Rounds = r.round
+	r.cRoundsDone.Inc()
+	roundSpan.End(
+		obs.F("stragglers", stragglers),
+		obs.F("decode_failures", r.scheme.DecodeFailures),
+		obs.F("flagged", len(r.scheme.SuspectedMalicious())))
+	return nil
+}
+
+// broadcast opens the round: the scheme's verification channel gets the
+// shared model, every live vehicle gets the broadcast (or has it withheld
+// by the in-flight window), and the per-round collection state resets.
+func (r *runState) broadcast() error {
+	params, err := r.fusion.Begin(r.scheme)
+	if err != nil {
+		return fmt.Errorf("node: round %d: %w", r.round, err)
+	}
+	r.bc = &protocol.Message{Broadcast: &protocol.Broadcast{Round: r.round, Params: params}}
+	if r.traced {
+		r.bc.Broadcast.TraceID = r.traceHex
+		r.bc.Broadcast.SpanID = obs.FormatID(r.roundCtx.Span)
+	}
+	for _, id := range r.ids {
+		if r.dead[id] {
+			continue
+		}
+		// In-flight window: a vehicle outpaced by a budget close more than
+		// PipelineWindow rounds ago gets its broadcast withheld (latest
+		// only — stashing overwrites) until any upload proves it alive, so
+		// a vanished straggler never accumulates frames.
+		if r.behind[id] && r.round-r.lastSeen[id] > r.cfg.PipelineWindow {
+			r.pendingBc[id] = r.bc
+			continue
+		}
+		// The flush barrier after each broadcast is where a buffered
+		// fabric pays its one write syscall; in round 1 the frame
+		// coalesces with the still-unflushed Setup. A flush failure is a
+		// send failure: the frame never reached the wire.
+		if err := sendFlush(r.byID[id], r.bc); err != nil {
+			r.dead[id] = true
+		}
+	}
+	r.uploads = make([][]float64, len(r.ids))
+	r.outstanding = make(map[int]bool, len(r.ids))
+	for id := range r.byID {
+		if !r.dead[id] && r.pendingBc[id] == nil {
+			r.outstanding[id] = true
+		}
+	}
+	r.retrans = make(map[int]int)
+	r.erased = make(map[int]bool)
+	r.arrived, r.overlapNs = 0, 0
+	// Streaming ingest: each accepted upload flows into the scheme's
+	// incremental decoder immediately, so most of the decode work is
+	// already done when the collection window closes.
+	r.sink = nil
+	if r.streamer != nil {
+		r.sink = r.streamer.BeginIngest()
+	}
+	return nil
+}
+
+// collect runs the round's collection window until every outstanding
+// upload has landed, the wait budget is met, or the round times out.
+func (r *runState) collect() {
+	// The effective wait budget: -1 waits for every live vehicle
+	// (lock-step-identical), otherwise the window closes once K + budget
+	// uploads have landed.
+	budget, budgetTarget := -1, 0
+	switch {
+	case r.adaptive != nil:
+		r.adaptive.SetErrors(len(r.flagged))
+		budget = r.adaptive.Budget()
+	case r.cfg.WaitBudget == -1:
+		budget = 0
+	case r.cfg.WaitBudget > 0:
+		budget = r.cfg.WaitBudget
+	}
+	if budget >= 0 {
+		budgetTarget = r.scheme.RecoverThreshold() + budget
+	}
+	closedBy := "all"
+	r.setStatus(func(st *Status) {
+		st.Phase = "collect"
+		st.Round = r.round
+		st.WaitBudget = budget
+		st.BudgetTarget = budgetTarget
+		st.Arrived = 0
+		st.Outstanding = len(r.outstanding)
+		st.Behind = sortedIDs(r.behind)
+	})
+	deadline := time.After(r.cfg.RoundTimeout)
+	// The round closes when every outstanding upload has arrived — but if
+	// connection loss empties the outstanding set while the round is
+	// still below the decode threshold K, the window stays open until the
+	// deadline: degradation is a timeout outcome, and crashed vehicles get
+	// the full round window to rejoin (the rejoin handler re-arms
+	// outstanding) before the model is held still. Without this, a
+	// shard-wide failure — a crashed relay — would burn through every
+	// remaining round degraded in microseconds, faster than any vehicle
+	// can reconnect.
+	kThreshold := r.scheme.RecoverThreshold()
+collect:
+	for len(r.outstanding) > 0 || r.arrived < kThreshold {
+		select {
+		case u := <-r.results:
+			if r.onResult(u) && budgetTarget > 0 && r.arrived >= budgetTarget && len(r.outstanding) > 0 {
+				// Enough redundancy: close early and mark the rest behind
+				// — candidates for broadcast withholding once they trail
+				// by more than the in-flight window.
+				for id := range r.outstanding {
+					r.behind[id] = true
+				}
+				closedBy = "budget"
+				r.setStatus(func(st *Status) { st.Behind = sortedIDs(r.behind) })
+				break collect
+			}
+		case req := <-r.rejoin:
+			r.handleRejoin(req)
+		case <-deadline:
+			closedBy = "timeout"
+			break collect // stragglers: leave their uploads nil
+		}
+	}
+	if r.streamer != nil {
+		if closedBy == "budget" {
+			r.cEarlyClose.Inc()
+		}
+		r.obs.Emit("node.pipeline",
+			obs.F("round", r.round),
+			obs.F("wait_budget", budget),
+			obs.F("arrived", r.arrived),
+			obs.F("closed_by", closedBy),
+			obs.F("overlap_ns", r.overlapNs))
+	}
+}
+
+// onResult handles one receiver event and reports whether it accepted a
+// current-round upload.
+func (r *runState) onResult(u result) bool {
+	switch {
+	case u.corrupt:
+		r.report.CorruptFrames++
+		r.cCorrupt.Inc()
+		r.obs.Emit("node.corrupt_frame", obs.F("round", r.round), obs.F("vehicle", u.vehicleID))
+		// Prompt the vehicle to resend its cached upload by
+		// re-broadcasting the round, within budget.
+		id := u.vehicleID
+		if r.byID[id] != u.conn || r.dead[id] || !r.outstanding[id] || r.retrans[id] >= r.cfg.MaxRetransmits {
+			break
+		}
+		r.retrans[id]++
+		r.report.Retransmits++
+		r.cRetransmit.Inc()
+		r.obs.Emit("node.retransmit", obs.F("round", r.round), obs.F("vehicle", id), obs.F("attempt", r.retrans[id]))
+		if err := sendFlush(u.conn, r.bc); err != nil {
+			r.dead[id] = true
+			delete(r.outstanding, id)
+		}
+	case u.err != nil:
+		if r.byID[u.vehicleID] != u.conn {
+			return false // stale error from a replaced connection
+		}
+		r.dead[u.vehicleID] = true
+		delete(r.outstanding, u.vehicleID)
+		r.report.RecvErrors++
+		r.cRecvErrors.Inc()
+		r.obs.Emit("node.recv_error",
+			obs.F("round", r.round),
+			obs.F("vehicle", u.vehicleID),
+			obs.F("error", u.err.Error()))
+	case u.round != r.round:
+		// Stale upload from a previous round's straggler: discard; the
+		// vehicle still owes the current round, but the arrival is proof
+		// of life for the window.
+		if !r.dead[u.vehicleID] && r.byID[u.vehicleID] == u.conn {
+			r.noteUpload(u.vehicleID, u.round)
+		}
+	case r.outstanding[u.vehicleID] && len(u.values) != r.scheme.UploadLen():
+		// A malformed upload answers the round but carries no usable
+		// symbol: drop it as an erasure and flag its sender, exactly as
+		// verification flags a liar.
+		r.noteUpload(u.vehicleID, u.round)
+		delete(r.outstanding, u.vehicleID)
+		r.erased[u.vehicleID] = true
+		r.flagged[u.vehicleID] = true
+		r.obs.Emit("node.malformed_upload",
+			obs.F("round", r.round),
+			obs.F("vehicle", u.vehicleID),
+			obs.F("values", len(u.values)))
+	case r.outstanding[u.vehicleID]:
+		r.ingest(u)
+		return true
+	}
+	return false
+}
+
+// ingest accepts a current-round upload into its vehicle's slot and, on
+// the pipelined engine, into the streaming decoder.
+func (r *runState) ingest(u result) {
+	r.noteUpload(u.vehicleID, u.round)
+	r.uploads[u.vehicleID] = u.values
+	delete(r.outstanding, u.vehicleID)
+	r.arrived++
+	r.setStatus(func(st *Status) {
+		st.Arrived = r.arrived
+		st.Outstanding = len(r.outstanding)
+	})
+	if r.traced {
+		// The ingest event parents under the upload span the vehicle
+		// propagated (network vs. compute attribution in the merged
+		// waterfall); an upload without context — an untraced vehicle —
+		// parents under the round.
+		ingest := obs.SpanContext{
+			Trace: r.trace,
+			Span:  obs.DeriveSpan(r.trace, "node.ingest", uint64(r.round), uint64(u.vehicleID)),
+		}
+		parent := r.roundCtx.Span
+		if p := obs.ParseID(u.span); p != 0 {
+			parent = p
+		}
+		r.obs.Emit("node.ingest", append([]obs.Field{
+			obs.F("round", r.round),
+			obs.F("vehicle", u.vehicleID),
+		}, obs.CtxFields(ingest, parent)...)...)
+	}
+	if r.sink != nil {
+		t0 := r.obs.Now()
+		if err := r.sink.Add(u.vehicleID, u.values); err != nil {
+			// Defensive: a rejected ingest only forfeits the streamed
+			// state; Aggregate redoes the work.
+			r.sink = nil
+		}
+		r.overlapNs += int64(r.obs.Now() - t0)
+	}
+}
+
+// countStragglers tallies the live vehicles whose upload never arrived
+// this round and feeds the count to the adaptive budget.
+func (r *runState) countStragglers() int {
+	n := 0
+	for _, id := range r.ids {
+		if !r.dead[id] && r.uploads[id] == nil && !r.erased[id] {
+			r.report.Stragglers++
+			n++
+			r.cStragglers.Inc()
+			r.obs.Emit("node.straggler", obs.F("round", r.round), obs.F("vehicle", id))
+		}
+	}
+	r.setStatus(func(st *Status) {
+		st.Phase = "aggregate"
+		st.Stragglers += n
+	})
+	if r.adaptive != nil {
+		r.adaptive.ObserveStragglers(n)
+	}
+	return n
+}
+
+// aggregate decodes the round's uploads, consuming the streamed decode
+// state where it applies (bit-identical to the plain Aggregate,
+// core/stream.go), records the flagged vehicles and distils the targets
+// into the shared model. A round with no usable target holds the model
+// still.
+func (r *runState) aggregate() error {
+	// The scheme's core.aggregate span nests under this round's span; the
+	// zero context with tracing off keeps it detached.
+	r.scheme.SetSpanParent(r.roundCtx)
+	var targets []float64
+	var err error
+	if r.sink != nil {
+		targets, err = r.streamer.AggregateStreamed(r.sink, r.uploads)
+	} else {
+		targets, err = r.scheme.Aggregate(r.uploads)
+	}
+	if err != nil {
+		return fmt.Errorf("node: round %d aggregate: %w", r.round, err)
+	}
+	for _, id := range r.scheme.SuspectedMalicious() {
+		r.flagged[id] = true
+	}
+	if _, err := r.fusion.Update(targets); err != nil && !errors.Is(err, fl.ErrNoTargets) {
+		return fmt.Errorf("node: round %d distill: %w", r.round, err)
+	}
+	return nil
 }
 
 // sendFlush sends m and pushes it onto the wire; on a buffered fabric an
@@ -962,39 +1011,19 @@ func sendFlush(conn transport.Conn, m *protocol.Message) error {
 	return transport.Flush(conn)
 }
 
-// sortedFlagged returns the set's members in ascending order (nil when
-// empty), for deterministic Status snapshots.
-func sortedFlagged(set map[int]bool) []int {
-	if len(set) == 0 {
+// sortedIDs returns the map's keys in ascending order (nil when empty),
+// giving every per-vehicle sweep and Status snapshot a deterministic
+// order.
+func sortedIDs[V any](m map[int]V) []int {
+	if len(m) == 0 {
 		return nil
 	}
-	ids := make([]int, 0, len(set))
-	for id := range set {
+	ids := make([]int, 0, len(m))
+	for id := range m {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// sortedVehicleIDs returns byID's keys in ascending order, giving every
-// per-vehicle sweep in Run a deterministic schedule.
-func sortedVehicleIDs(byID map[int]transport.Conn) []int {
-	ids := make([]int, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }
 
 // ClientConfig parameterises one vehicle process.
@@ -1034,8 +1063,9 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t)
 }
 
-// vehicleSession is a vehicle's state across connections: the local
-// model, the rebuilt scheme, the SGD shuffle stream, and the last upload.
+// vehicleSession is a vehicle's state across connections: the fl.Vehicle
+// (local model and SGD shuffle stream), the rebuilt scheme, and the last
+// upload.
 // Keeping it outside the per-connection loop is what makes reconnection
 // exact — a resumed session resends the cached upload instead of
 // retraining, so its randomness stream (and therefore every subsequent
@@ -1053,9 +1083,11 @@ type vehicleSession struct {
 	hEncode *obs.Histogram
 	hUpload *obs.Histogram
 
-	local  *nn.Network
-	scheme *core.Scheme
-	rng    *rand.Rand
+	// vehicle runs the round's local step exactly as fl.System does, with
+	// the Setup's training knobs in trainCfg; unset until the first Setup.
+	vehicle  *fl.Vehicle
+	trainCfg fl.Config
+	scheme   *core.Scheme
 
 	lastRound  int
 	lastUpload []float64
@@ -1108,7 +1140,7 @@ func (s *vehicleSession) emitStage(stage string, hist *obs.Histogram, round int,
 // server resends Setup; an already-installed session keeps its trained
 // model and advanced randomness stream and ignores the repeat.
 func (s *vehicleSession) install(setup *protocol.Setup) error {
-	if s.local != nil {
+	if s.vehicle != nil {
 		return nil
 	}
 	var act approx.Activation
@@ -1117,11 +1149,7 @@ func (s *vehicleSession) install(setup *protocol.Setup) error {
 	} else {
 		act = approx.SymmetricSigmoid()
 	}
-	local, err := nn.New(nn.Config{
-		LayerSizes: []int{setup.InputSize, 1},
-		Activation: act,
-		Seed:       s.cfg.Seed,
-	})
+	model, err := fl.NewModel(setup.InputSize, act, s.cfg.Seed)
 	if err != nil {
 		return fmt.Errorf("node: local model: %w", err)
 	}
@@ -1134,9 +1162,9 @@ func (s *vehicleSession) install(setup *protocol.Setup) error {
 	if err != nil {
 		return fmt.Errorf("node: rebuilding scheme: %w", err)
 	}
-	s.local = local
+	s.vehicle = fl.NewVehicle(s.cfg.VehicleID, s.cfg.Data, model, s.cfg.Seed)
+	s.trainCfg = fl.Config{LocalEpochs: setup.LocalEpochs, LocalRate: setup.LocalRate}
 	s.scheme = scheme
-	s.rng = newVehicleRNG(s.cfg.Seed)
 	return nil
 }
 
@@ -1272,35 +1300,43 @@ func (s *vehicleSession) run(conn transport.Conn) error {
 			}
 			continue
 		}
-		if err := s.local.SetParams(bc.Params); err != nil {
-			return fmt.Errorf("node: vehicle %d: %w", id, err)
-		}
-		// The verification channel needs the broadcast model as received.
-		sharedCopy := s.local.Clone()
-		if err := s.scheme.BeginRound(sharedCopy); err != nil {
-			return fmt.Errorf("node: vehicle %d: %w", id, err)
-		}
-		tTrain := s.o.Now()
-		if _, err := s.local.TrainSGD(s.cfg.Data, setup.LocalRate, setup.LocalEpochs, s.rng); err != nil {
-			return fmt.Errorf("node: vehicle %d training: %w", id, err)
-		}
-		s.emitStage("node.train", s.hTrain, bc.Round, tTrain, s.o.Now()-tTrain)
-		tEncode := s.o.Now()
-		values, err := s.scheme.Upload(id, s.local)
-		if err != nil {
-			return fmt.Errorf("node: vehicle %d upload: %w", id, err)
-		}
-		s.emitStage("node.encode", s.hEncode, bc.Round, tEncode, s.o.Now()-tEncode)
-		if s.cfg.Corrupt != nil {
-			for i := range values {
-				values[i] = s.cfg.Corrupt.Corrupt(id, values[i])
-			}
-		}
-		s.lastRound, s.lastUpload = bc.Round, values
-		if err := s.sendUpload(conn, bc.Round); err != nil {
+		if err := s.answer(conn, bc); err != nil {
 			return err
 		}
 	}
+}
+
+// answer runs the vehicle's step of a fresh round — the same
+// fl.Vehicle.Train and scheme upload fl.System runs — and sends the
+// upload, cached for resends.
+func (s *vehicleSession) answer(conn transport.Conn, bc *protocol.Broadcast) error {
+	id := s.cfg.VehicleID
+	// The verification channel needs the broadcast model as received.
+	shared := s.vehicle.Model.Clone()
+	if err := shared.SetParams(bc.Params); err != nil {
+		return fmt.Errorf("node: vehicle %d: %w", id, err)
+	}
+	if err := s.scheme.BeginRound(shared); err != nil {
+		return fmt.Errorf("node: vehicle %d: %w", id, err)
+	}
+	tTrain := s.o.Now()
+	if _, err := s.vehicle.Train(bc.Params, s.trainCfg); err != nil {
+		return fmt.Errorf("node: %w", err)
+	}
+	s.emitStage("node.train", s.hTrain, bc.Round, tTrain, s.o.Now()-tTrain)
+	tEncode := s.o.Now()
+	values, err := s.scheme.Upload(id, s.vehicle.Model)
+	if err != nil {
+		return fmt.Errorf("node: vehicle %d upload: %w", id, err)
+	}
+	s.emitStage("node.encode", s.hEncode, bc.Round, tEncode, s.o.Now()-tEncode)
+	if s.cfg.Corrupt != nil {
+		for i := range values {
+			values[i] = s.cfg.Corrupt.Corrupt(id, values[i])
+		}
+	}
+	s.lastRound, s.lastUpload = bc.Round, values
+	return s.sendUpload(conn, bc.Round)
 }
 
 // sendUpload ships the cached upload for the given round, flushed so the

@@ -109,6 +109,19 @@ func buildSessionFull(t testing.TB, vehicles, rounds int, maliciousFrac float64,
 	return s
 }
 
+// reconfigure rebuilds the session's server from its config changed by
+// mutate — for knobs NewServer resolves once, such as DisablePipeline.
+func (s *session) reconfigure(t testing.TB, mutate func(*ServerConfig)) {
+	t.Helper()
+	cfg := s.server.cfg
+	mutate(&cfg)
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.server = srv
+}
+
 // run executes the whole session and returns the server report.
 func (s *session) run(t *testing.T) *Report {
 	t.Helper()
@@ -247,6 +260,19 @@ func TestServerValidation(t *testing.T) {
 	cfg.ActivationCoeffs = nil
 	if _, err := NewServer(cfg); err == nil {
 		t.Error("missing activation accepted")
+	}
+	// Invalid learning knobs would strand every vehicle on its first
+	// broadcast and time out every round; NewServer must refuse them.
+	for name, mutate := range map[string]func(*fl.Config){
+		"zero local rate":   func(c *fl.Config) { c.LocalRate = 0 },
+		"zero local epochs": func(c *fl.Config) { c.LocalEpochs = 0 },
+		"server step 3":     func(c *fl.Config) { c.ServerStep = 3 },
+	} {
+		cfg = base
+		mutate(&cfg.FL)
+		if _, err := NewServer(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 	srv, err := NewServer(base)
 	if err != nil {

@@ -24,7 +24,7 @@ type pipelineCase struct {
 func runPipelineSession(t *testing.T, vehicles, rounds, workers int, lockstep bool, tc pipelineCase) *Report {
 	t.Helper()
 	s := buildSessionFull(t, vehicles, rounds, 0, nil, workers)
-	s.server.cfg.DisablePipeline = lockstep
+	s.reconfigure(t, func(c *ServerConfig) { c.DisablePipeline = lockstep })
 	if tc.timeout > 0 {
 		s.server.cfg.RoundTimeout = tc.timeout
 	}

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check.sh is the single verification gate: formatting, go vet, the
-# repo-specific invariant linter (cmd/lcofl-lint), a full build, and the
-# test suite under the race detector. CI runs exactly this script, so a
-# clean local run means a clean CI run.
+# repo-specific invariant linter (cmd/lcofl-lint), a full build, the
+# benchmark module's vet and tests, and the test suite under the race
+# detector. CI runs exactly this script, so a clean local run means a
+# clean CI run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +23,11 @@ go run ./cmd/lcofl-lint ./...
 
 echo "== go build"
 go build ./...
+
+echo "== perfbench vet + test"
+# The benchmark driver is a separate module, invisible to ./... above, so
+# an fl/node API change that breaks it would otherwise pass every gate.
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race"
 # This also replays every checked-in fuzz seed corpus
